@@ -4,6 +4,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -20,11 +22,43 @@ func writeEdgeFile(t *testing.T) string {
 	return path
 }
 
+// sameAsOneShard runs args, and args with its -shards value replaced by
+// 1, and fails unless both succeed with identical colorings and message
+// statistics. Each run gets a fresh -ckpt file, so neither resumes from
+// the other's checkpoint.
+func sameAsOneShard(t *testing.T, args []string) {
+	t.Helper()
+	sharded := append([]string(nil), args...)
+	one := append([]string(nil), args...)
+	for i := 0; i+1 < len(args); i++ {
+		switch args[i] {
+		case "-shards":
+			one[i+1] = "1"
+		case "-ckpt":
+			sharded[i+1] = filepath.Join(t.TempDir(), "sharded.ckpt")
+			one[i+1] = filepath.Join(t.TempDir(), "one.ckpt")
+		}
+	}
+	got, code := runJSON(t, sharded...)
+	want, wantCode := runJSON(t, one...)
+	if code != 0 || wantCode != 0 {
+		t.Fatalf("exit codes %d (sharded) and %d (one shard), want 0", code, wantCode)
+	}
+	if !reflect.DeepEqual(got.Coloring, want.Coloring) {
+		t.Fatalf("coloring differs from the -shards 1 run")
+	}
+	if got.Rounds != want.Rounds || got.Messages != want.Messages || got.TotalBits != want.TotalBits {
+		t.Fatalf("stats %d/%d/%d differ from the -shards 1 run's %d/%d/%d",
+			got.Rounds, got.Messages, got.TotalBits, want.Rounds, want.Messages, want.TotalBits)
+	}
+}
+
 // TestRunExitCodes pins the documented exit-code contract: 0 = valid run,
 // 1 = failed run or invalid output, 2 = usage error. The -metrics-addr
 // rows pin the repaired masking bug: a failed run exits 1 (and does not
 // park to serve metrics — parking would hang this test) even when a
-// metrics address was requested.
+// metrics address was requested. Every successful -shards row must also
+// reproduce the -shards 1 run's coloring.
 func TestRunExitCodes(t *testing.T) {
 	noDir := filepath.Join(t.TempDir(), "missing-subdir", "out")
 	cases := []struct {
@@ -38,6 +72,8 @@ func TestRunExitCodes(t *testing.T) {
 		{"valid sharded luby", []string{"-graph", "gnp", "-n", "80", "-p", "0.08", "-algo", "luby", "-shards", "4"}, 0},
 		{"valid sharded degluby", []string{"-graph", "pa", "-n", "100", "-deg", "3", "-algo", "degluby", "-shards", "3"}, 0},
 		{"valid edge-list file", []string{"-graph", "file:" + writeEdgeFile(t), "-algo", "degluby"}, 0},
+		{"shards with delta1", []string{"-graph", "ring", "-n", "16", "-algo", "delta1", "-shards", "4"}, 0},
+		{"shards with oldc", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-shards", "2"}, 0},
 
 		{"missing edge-list file", []string{"-graph", "file:" + filepath.Join(t.TempDir(), "nope.edges")}, 1},
 
@@ -50,8 +86,6 @@ func TestRunExitCodes(t *testing.T) {
 		{"unknown algo", []string{"-algo", "rainbow"}, 2},
 		{"unknown graph", []string{"-graph", "moebius"}, 2},
 		{"chaos without oldc", []string{"-graph", "ring", "-n", "16", "-algo", "delta1", "-chaos", "drop:0.1"}, 2},
-		{"shards with delta1", []string{"-graph", "ring", "-n", "16", "-algo", "delta1", "-shards", "4"}, 2},
-		{"shards with oldc", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-shards", "2"}, 2},
 		{"repair without oldc", []string{"-graph", "ring", "-n", "16", "-algo", "luby", "-repair"}, 2},
 		{"trace with mis", []string{"-graph", "ring", "-n", "16", "-algo", "mis", "-trace", "-"}, 2},
 		{"trace with greedy", []string{"-graph", "ring", "-n", "16", "-algo", "greedy", "-trace", "-"}, 2},
@@ -62,6 +96,9 @@ func TestRunExitCodes(t *testing.T) {
 			got := run(tc.args, io.Discard, io.Discard)
 			if got != tc.want {
 				t.Fatalf("run(%v) = %d, want %d", tc.args, got, tc.want)
+			}
+			if tc.want == 0 && slices.Contains(tc.args, "-shards") {
+				sameAsOneShard(t, tc.args)
 			}
 		})
 	}

@@ -194,7 +194,9 @@ func TestOldcCrossProcessResume(t *testing.T) {
 }
 
 // TestSuperviseUsageErrors pins the exit-2 contract for the flag
-// combinations the supervisor refuses.
+// combinations the supervisor refuses, and that -shards is not one of
+// them: a checkpointed oldc solve on two shards reproduces the one-shard
+// coloring.
 func TestSuperviseUsageErrors(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "x.ckpt")
 	cases := []struct {
@@ -205,7 +207,6 @@ func TestSuperviseUsageErrors(t *testing.T) {
 		{"kill with oldc without ckpt", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-chaos", "kill:3"}},
 		{"kill with luby", []string{"-graph", "ring", "-n", "16", "-algo", "luby", "-chaos", "kill:3"}},
 		{"ckpt with repair", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-ckpt", ckpt, "-repair"}},
-		{"ckpt oldc with shards", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-ckpt", ckpt, "-shards", "2"}},
 		{"chaos with maus21", []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "maus21", "-chaos", "drop-10pct"}},
 		{"flip with degluby", append(deglubyArgs, "-chaos", "flip-1pct")},
 		{"storm with degluby", append(deglubyArgs, "-chaos", "storm", "-ckpt", ckpt)},
@@ -220,6 +221,9 @@ func TestSuperviseUsageErrors(t *testing.T) {
 			}
 		})
 	}
+	t.Run("ckpt oldc with shards", func(t *testing.T) {
+		sameAsOneShard(t, []string{"-graph", "regular", "-n", "32", "-deg", "6", "-algo", "oldc", "-ckpt", "x.ckpt", "-shards", "2"})
+	})
 	// A conflicting spec (duplicate kill round) fails through the chaos
 	// parser's typed *ConflictError, which is a run failure, not usage.
 	if code := run(append(deglubyArgs, "-chaos", "kill:3+kill:3", "-ckpt", ckpt), io.Discard, io.Discard); code != 1 {

@@ -19,8 +19,8 @@
 //     for gap 0).
 //
 // Everything here is deterministic and safe for concurrent use from
-// different engine worker goroutines, which is what keeps algorithm output
-// bit-identical across worker and shard counts.
+// different engine shard goroutines, which is what keeps algorithm output
+// bit-identical across shard counts.
 package algkit
 
 import (
@@ -30,19 +30,7 @@ import (
 
 	"repro/internal/cover"
 	"repro/internal/graph"
-	"repro/internal/obs"
-	"repro/internal/sim"
 )
-
-// Runner is the execution substrate an algorithm family accepts: a
-// sim.Runner that also exposes its tracer so families can emit phase
-// events. Both the serial sim.Engine and the sharded shard.Engine satisfy
-// it.
-type Runner interface {
-	sim.Runner
-	// Tracer returns the runner's round tracer (nil when untraced).
-	Tracer() obs.Tracer
-}
 
 // OutCSR is a CSR snapshot of an orientation's out-adjacency (mirroring
 // internal/graph's flat layout): positions Off[v]..Off[v+1] hold node v's

@@ -30,13 +30,7 @@ func SolveViaDefective(g *graph.Graph, in *coloring.Instance, initColors []int, 
 		cfg.ClassFactor = 1
 	}
 	newEng := func(g2 *graph.Graph) *sim.Engine {
-		e := sim.NewEngine(g2)
-		if cfg.Tracer != nil {
-			e.SetTracer(cfg.Tracer)
-		}
-		if cfg.Metrics != nil {
-			e.SetMetrics(cfg.Metrics)
-		}
+		e := sim.NewEngineWith(g2, sim.Options{Shards: cfg.Shards, Tracer: cfg.Tracer, Metrics: cfg.Metrics})
 		if cfg.EngineHook != nil {
 			cfg.EngineHook(e)
 		}

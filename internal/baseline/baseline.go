@@ -54,12 +54,12 @@ func LinearDeltaPlusOne(eng *sim.Engine, g *graph.Graph) (coloring.Assignment, s
 // its remaining palette; a proposal is kept if no neighbor proposed or
 // holds the same color. Terminates in O(log n) rounds w.h.p.
 //
-// It accepts any runner/topology pair — the serial sim.Engine over a
-// materialized *graph.Graph, or the sharded engine over streamed ingest —
-// and produces the identical coloring for the same seed on either.
-func Luby(r sim.Runner, t graph.Topology, seed int64) (coloring.Assignment, sim.Stats, error) {
+// t is the topology the nodes consult: the engine's graph, or the engine
+// itself when it was built by streaming ingest. The coloring depends only
+// on the topology and the seed, not on the shard count.
+func Luby(eng *sim.Engine, t graph.Topology, seed int64) (coloring.Assignment, sim.Stats, error) {
 	alg := newLubyAlg(t, seed)
-	stats, err := r.Run(alg, 64*(intLog2(t.N())+2)+64)
+	stats, err := eng.Run(alg, 64*(intLog2(t.N())+2)+64)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -20,12 +20,11 @@ import (
 // changes are the difference between an O(n·Δ)-per-round loop and one
 // proportional to the remaining conflict graph.
 //
-// Like Luby it runs on any runner/topology pair and is a pure function of
-// (topology, seed): the coloring is identical for every shard and worker
-// count.
-func DegreeLuby(r sim.Runner, t graph.Topology, seed int64) (coloring.Assignment, sim.Stats, error) {
+// Like Luby it is a pure function of (topology, seed): the coloring is
+// identical for every shard count.
+func DegreeLuby(eng *sim.Engine, t graph.Topology, seed int64) (coloring.Assignment, sim.Stats, error) {
 	alg := NewDegreeLuby(t, seed)
-	stats, err := r.Run(alg, DegreeLubyMaxRounds(t.N()))
+	stats, err := eng.Run(alg, DegreeLubyMaxRounds(t.N()))
 	if err != nil {
 		return nil, stats, err
 	}

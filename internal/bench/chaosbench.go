@@ -55,7 +55,7 @@ func (rep ChaosBenchReport) WriteJSON(path string) error { return writeBenchJSON
 // on a fixed random regular Δ=64 instance (the ISSUE's robustness
 // acceptance scale) and reports survival rate, repair cost, fault-ledger
 // totals, and final validity per schedule. Everything except the wall
-// clock is deterministic: fixed seeds, fixed schedules, worker-count
+// clock is deterministic: fixed seeds, fixed schedules, shard-count
 // independent stats.
 func RunChaosBench() ChaosBenchReport {
 	const (

@@ -11,7 +11,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/coloring"
 	"repro/internal/graph"
-	"repro/internal/shard"
+	"repro/internal/sim"
 )
 
 // ShardBenchEntry is one point on the shard scaling curve: the same fixed
@@ -34,7 +34,7 @@ type ShardCurve struct {
 }
 
 // ShardBigRun records the large streamed power-law solve: a graph ingested
-// shard-by-shard without ever materializing the global adjacency, colored
+// straight into the engine's CSR without ever building a *graph.Graph, colored
 // with DegreeLuby, and checkable end-to-end with ldc-verify.
 type ShardBigRun struct {
 	N              int     `json:"n"`
@@ -118,7 +118,7 @@ func RunShardBench(quick bool, solveOut string) (ShardBenchReport, error) {
 
 	rep.Curve = ShardCurve{N: curveN}
 	for _, s := range counts {
-		eng, err := shard.Ingest(es, shard.Options{Shards: s})
+		eng, err := sim.Ingest(es, sim.Options{Shards: s})
 		if err != nil {
 			return rep, fmt.Errorf("shardbench: ingest curve graph: %w", err)
 		}
@@ -175,7 +175,7 @@ func runShardBigRun(quick bool, solveOut string) (ShardBigRun, error) {
 		n, k, s = 20_000, 3, 4
 	}
 	es := graph.StreamPreferentialAttachment(n, k, shardBigSeed)
-	eng, err := shard.Ingest(es, shard.Options{Shards: s})
+	eng, err := sim.Ingest(es, sim.Options{Shards: s})
 	if err != nil {
 		return ShardBigRun{}, fmt.Errorf("shardbench: ingest big run: %w", err)
 	}
@@ -191,7 +191,7 @@ func runShardBigRun(quick bool, solveOut string) (ShardBigRun, error) {
 		N:              n,
 		M:              eng.Edges(),
 		MaxDegree:      eng.MaxDegree(),
-		Shards:         eng.Shards(),
+		Shards:         eng.Workers(),
 		Seed:           shardBigSeed,
 		Rounds:         stats.Rounds,
 		Messages:       stats.Messages,

@@ -6,9 +6,9 @@
 // crashes (with optional recovery), and bit-flip payload corruption.
 //
 // Every model is a pure function of (schedule parameters, round, from,
-// to): two runs with the same seed, graph, and worker count see the exact
-// same fault pattern, and the pattern is independent of the engine's
-// worker count because the engine consults the model exactly once per
+// to): two runs with the same seed and graph see the exact same fault
+// pattern, and the pattern is independent of the engine's shard count
+// because the engine consults the model exactly once per
 // wire per round. Randomized models derive their decisions from a
 // splitmix64-style hash of (seed, round, from, to) rather than any
 // stateful RNG, which is what makes them safe for concurrent use from the

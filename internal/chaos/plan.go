@@ -35,7 +35,7 @@ type Kill struct {
 	// fully executed and any chained checkpoint hook has run).
 	Round int
 	// Shard is the shard index for killshard terms, or -1 for a
-	// whole-process kill. The in-process sharded engine shares one address
+	// whole-process kill. An engine's shards share one address
 	// space, so both kinds abort the run; the distinction is recorded for
 	// reports and for a future multi-process transport.
 	Shard int

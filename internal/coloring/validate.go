@@ -131,8 +131,8 @@ func CheckProper(g *graph.Graph, phi Assignment, numColors int) error {
 }
 
 // CheckProperOn is CheckProper over any graph.Topology, so colorings
-// computed on graphs that were never materialized (the sharded engine's
-// streamed ingest) validate against the same rules.
+// computed on graphs that were never materialized (an engine's streamed
+// ingest) validate against the same rules.
 func CheckProperOn(t graph.Topology, phi Assignment, numColors int) error {
 	for v := 0; v < t.N(); v++ {
 		if phi[v] < 0 || phi[v] >= numColors {

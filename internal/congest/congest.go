@@ -48,6 +48,9 @@ type Config struct {
 	// Metrics, when non-nil, is installed on every engine the pipeline
 	// creates.
 	Metrics *obs.Registry
+	// Shards is the shard count of every engine the pipeline creates (see
+	// sim.Options.Shards).
+	Shards int
 	// Opts is the base OLDC solver configuration.
 	Opts oldc.Options
 }
@@ -73,7 +76,7 @@ type Result struct {
 // or more generally Σ(d_v(x)+1) > deg(v).
 func DegreePlusOneList(g *graph.Graph, in *coloring.Instance, cfg Config) (Result, error) {
 	var res Result
-	eng := sim.NewEngineWith(g, sim.Options{Tracer: cfg.Tracer, Metrics: cfg.Metrics})
+	eng := sim.NewEngineWith(g, sim.Options{Shards: cfg.Shards, Tracer: cfg.Tracer, Metrics: cfg.Metrics})
 	if cfg.Bandwidth > 0 {
 		eng.Bandwidth = cfg.Bandwidth
 	}
@@ -109,6 +112,7 @@ func DegreePlusOneList(g *graph.Graph, in *coloring.Instance, cfg Config) (Resul
 	ares, err := arb.SolveListArbdefective(g, in, init, m, solver, arb.Config{
 		ClassFactor: cfg.ClassFactor,
 		EngineHook:  hook,
+		Shards:      cfg.Shards,
 		Tracer:      cfg.Tracer,
 		Metrics:     cfg.Metrics,
 		Opts:        cfg.Opts,

@@ -226,7 +226,7 @@ func (a *familyArena) maskScratch(n int) []uint64 {
 // function of the type, a run needs each distinct type derived exactly
 // once. Lookups are an allocation-free hash probe under a read lock;
 // misses derive under the write lock into the shared bump arena, so each
-// distinct type costs exactly one derivation regardless of worker count or
+// distinct type costs exactly one derivation regardless of shard count or
 // scheduling. The cache is safe for concurrent use from the engine's
 // parallel Inbox/Outbox callbacks.
 type FamilyCache struct {

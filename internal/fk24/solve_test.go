@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
-	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
@@ -56,14 +55,13 @@ var goldenDigests = map[string]uint64{
 }
 
 // TestGoldenBitIdentity pins Solve to the embedded digests and checks the
-// output is bit-identical across engine worker counts, shard counts, and
-// the family cache toggle.
+// output is bit-identical across engine shard counts and the family cache
+// toggle.
 func TestGoldenBitIdentity(t *testing.T) {
 	for _, tc := range goldenInstances() {
 		t.Run(tc.name, func(t *testing.T) {
 			in := prepareInput(tc.o, 1<<12, 6.0, 3, tc.seed)
 			ref := sim.NewEngine(tc.o.Graph())
-			ref.SetWorkers(1)
 			wantPhi, wantStats, err := Solve(ref, in, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -71,37 +69,20 @@ func TestGoldenBitIdentity(t *testing.T) {
 			if got, want := digest(wantPhi, wantStats), goldenDigests[tc.name]; got != want {
 				t.Errorf("golden digest drifted: got %#x want %#x", got, want)
 			}
-			for _, workers := range []int{4, 0} {
+			for _, shards := range []int{1, 2, 4, 7} {
 				for _, noCache := range []bool{false, true} {
-					eng := sim.NewEngine(tc.o.Graph())
-					if workers > 0 {
-						eng.SetWorkers(workers)
-					}
+					eng := sim.NewEngineWith(tc.o.Graph(), sim.Options{Shards: shards})
 					phi, stats, err := Solve(eng, in, Options{NoFamilyCache: noCache})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !reflect.DeepEqual(wantPhi, phi) {
-						t.Errorf("workers=%d noCache=%v: coloring diverges", workers, noCache)
+						t.Errorf("shards=%d noCache=%v: coloring diverges", shards, noCache)
 					}
 					if !reflect.DeepEqual(wantStats, stats) {
-						t.Errorf("workers=%d noCache=%v: stats diverge:\n want %+v\n  got %+v",
-							workers, noCache, wantStats, stats)
+						t.Errorf("shards=%d noCache=%v: stats diverge:\n want %+v\n  got %+v",
+							shards, noCache, wantStats, stats)
 					}
-				}
-			}
-			for _, shards := range []int{2, 4} {
-				eng := shard.FromGraph(tc.o.Graph(), shard.Options{Shards: shards})
-				phi, stats, err := Solve(eng, in, Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantPhi, phi) {
-					t.Errorf("shards=%d: coloring diverges from serial", shards)
-				}
-				if !reflect.DeepEqual(wantStats, stats) {
-					t.Errorf("shards=%d: stats diverge from serial:\n want %+v\n  got %+v",
-						shards, wantStats, stats)
 				}
 			}
 		})

@@ -8,8 +8,8 @@ import (
 // EdgeStream is a deterministic, restartable edge producer: every call to
 // ForEachEdge yields the edges of one fixed graph exactly once each, in an
 // order fully determined by the stream's parameters (seed included).
-// Streams let huge graphs be consumed — routed into shard-local CSR
-// storage (internal/shard), written to disk, or materialized — without the
+// Streams let huge graphs be consumed — ingested into a simulator
+// engine's CSR (sim.Ingest), written to disk, or materialized — without the
 // global edge list, sort, and adjacency maps a Builder requires.
 //
 // Restartability is part of the contract: consumers may traverse a stream
@@ -26,9 +26,9 @@ type EdgeStream interface {
 }
 
 // Topology is the read-only neighborhood view distributed algorithms need
-// at run time. *Graph implements it; the sharded engine exposes one backed
-// by per-shard CSR storage so algorithms run unchanged on graphs that were
-// never materialized as a single *Graph.
+// at run time. *Graph implements it, and so does sim.Engine, whose
+// streamed ingest keeps its own CSR, so algorithms run unchanged on graphs
+// that were never materialized as a single *Graph.
 type Topology interface {
 	// N returns the number of vertices.
 	N() int

@@ -178,15 +178,14 @@ func (a *reduceAlg) Done() bool {
 
 // Proper computes a proper coloring with at most (smallest prime > 2β)²
 // colors, starting from the given proper m-coloring (e.g. unique ids), in
-// Schedule.Rounds() = O(log* m) communication rounds. It runs on any
-// sim.Runner — the serial engine or the sharded one.
-func Proper(r sim.Runner, o *graph.Oriented, init []int, m int) ([]int, int, sim.Stats, error) {
+// Schedule.Rounds() = O(log* m) communication rounds.
+func Proper(eng *sim.Engine, o *graph.Oriented, init []int, m int) ([]int, int, sim.Stats, error) {
 	sched := ProperSchedule(m, o.MaxOutDegree())
 	if len(sched.Steps) == 0 {
 		return append([]int(nil), init...), m, sim.Stats{}, nil
 	}
 	alg := newReduceAlg(o, init, m, sched)
-	stats, err := r.Run(alg, sched.Rounds()+2)
+	stats, err := eng.Run(alg, sched.Rounds()+2)
 	if err != nil {
 		return nil, 0, stats, err
 	}
@@ -200,13 +199,13 @@ func Proper(r sim.Runner, o *graph.Oriented, init []int, m int) ([]int, int, sim
 
 // Defective computes a d-defective (w.r.t. out-neighbors) coloring with
 // O((β·D/(d+1))²) colors in O(log* m) rounds [Kuh09].
-func Defective(r sim.Runner, o *graph.Oriented, init []int, m, d int) ([]int, int, sim.Stats, error) {
+func Defective(eng *sim.Engine, o *graph.Oriented, init []int, m, d int) ([]int, int, sim.Stats, error) {
 	sched := DefectiveSchedule(m, o.MaxOutDegree(), d)
 	if len(sched.Steps) == 0 {
 		return append([]int(nil), init...), m, sim.Stats{}, nil
 	}
 	alg := newReduceAlg(o, init, m, sched)
-	stats, err := r.Run(alg, sched.Rounds()+2)
+	stats, err := eng.Run(alg, sched.Rounds()+2)
 	if err != nil {
 		return nil, 0, stats, err
 	}
@@ -223,14 +222,14 @@ func Defective(r sim.Runner, o *graph.Oriented, init []int, m, d int) ([]int, in
 // prime > 2β)² colors after O(log* m) rounds. This is the restricted
 // reduction Maus's coloring algorithm runs inside each defect class, where
 // beta = d ≪ Δ keeps the intra-class palette small.
-func ProperWithin(r sim.Runner, o *graph.Oriented, class, init []int, m, beta int) ([]int, int, sim.Stats, error) {
+func ProperWithin(eng *sim.Engine, o *graph.Oriented, class, init []int, m, beta int) ([]int, int, sim.Stats, error) {
 	sched := ProperSchedule(m, beta)
 	if len(sched.Steps) == 0 {
 		return append([]int(nil), init...), m, sim.Stats{}, nil
 	}
 	alg := newReduceAlg(o, init, m, sched)
 	alg.class = class
-	stats, err := r.Run(alg, sched.Rounds()+2)
+	stats, err := eng.Run(alg, sched.Rounds()+2)
 	if err != nil {
 		return nil, 0, stats, err
 	}

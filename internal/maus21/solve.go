@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/coloring"
 	"repro/internal/graph"
@@ -139,16 +138,15 @@ func (a *commitAlg) Done() bool {
 
 // Solve computes a proper coloring of g with q₁·(d+1) = O(KΔ) colors (see
 // the package comment for the pipeline). It returns the coloring, the
-// palette bound, and the summed statistics of all three stages, and runs
-// on any Runner — serial or sharded engine.
-func Solve(r algkit.Runner, g *graph.Graph, opts Options) (coloring.Assignment, int, sim.Stats, error) {
+// palette bound, and the summed statistics of all three stages.
+func Solve(eng *sim.Engine, g *graph.Graph, opts Options) (coloring.Assignment, int, sim.Stats, error) {
 	n := g.N()
 	o := graph.OrientSymmetric(g)
 	d := DefectFor(g.MaxDegree(), opts.K)
 	var total sim.Stats
 
-	obs.EmitPhase(r.Tracer(), "maus21/defective", obs.Attrs{"k": opts.K, "d": d})
-	class, q1, st, err := linial.Defective(r, o, linial.IDs(n), n, d)
+	obs.EmitPhase(eng.Tracer(), "maus21/defective", obs.Attrs{"k": opts.K, "d": d})
+	class, q1, st, err := linial.Defective(eng, o, linial.IDs(n), n, d)
 	total = total.Add(st)
 	if err != nil {
 		return nil, 0, total, fmt.Errorf("maus21: defective stage: %w", err)
@@ -158,17 +156,17 @@ func Solve(r algkit.Runner, g *graph.Graph, opts Options) (coloring.Assignment, 
 		return finish(g, coloring.Assignment(class), q1, total, opts)
 	}
 
-	obs.EmitPhase(r.Tracer(), "maus21/intra", obs.Attrs{"q1": q1})
-	intra, q2, st, err := linial.ProperWithin(r, o, class, linial.IDs(n), n, d)
+	obs.EmitPhase(eng.Tracer(), "maus21/intra", obs.Attrs{"q1": q1})
+	intra, q2, st, err := linial.ProperWithin(eng, o, class, linial.IDs(n), n, d)
 	total = total.Add(st)
 	if err != nil {
 		return nil, 0, total, fmt.Errorf("maus21: intra stage: %w", err)
 	}
 
-	obs.EmitPhase(r.Tracer(), "maus21/commit", obs.Attrs{"q2": q2, "palette": d + 1})
+	obs.EmitPhase(eng.Tracer(), "maus21/commit", obs.Attrs{"q2": q2, "palette": d + 1})
 	alg := newCommitAlg(class, intra, q1, q2, d+1)
-	alg.sink = r
-	st, err = r.Run(alg, q2+2)
+	alg.sink = eng
+	st, err = eng.Run(alg, q2+2)
 	total = total.Add(st)
 	if err != nil {
 		return nil, 0, total, fmt.Errorf("maus21: commit stage: %w", err)

@@ -282,7 +282,7 @@ const (
 	// milliseconds.
 	MetricServeBatchMS = "ldc_serve_recolor_latency_ms"
 	// MetricShardBoundaryMsgs gauges the cross-shard (ghost-boundary) wires
-	// routed by the sharded engine's current run.
+	// routed by a multi-shard engine's current run.
 	MetricShardBoundaryMsgs = "ldc_shard_boundary_msgs"
 	// MetricShardGhostNodes gauges the ghost nodes a sharded partition
 	// replicates: remote endpoints referenced by each shard's adjacency,

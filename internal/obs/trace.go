@@ -11,7 +11,7 @@
 //
 // When enabled, every emission happens from the engine's single-threaded
 // round loop after the order-independent shard merge, so a trace is
-// byte-identical for every worker count — the same guarantee sim.Stats
+// byte-identical for every shard count — the same guarantee sim.Stats
 // carries. See docs/OBSERVABILITY.md for the full schema and the metrics
 // catalog.
 package obs
@@ -46,7 +46,7 @@ type Attrs map[string]int
 
 // RoundInfo is one simulator round's accounting, emitted as a "round"
 // event. All fields are derived from the engine's order-independent shard
-// merge, so they are identical for every worker count.
+// merge, so they are identical for every shard count.
 type RoundInfo struct {
 	Round        int   // engine-local round number (restarts at 0 per Run)
 	Active       int   // nodes that queued at least one send this round

@@ -26,7 +26,6 @@ func TestSolveAllocBudget(t *testing.T) {
 	in := Input{O: o, SpaceSize: space, Lists: inst.Lists, InitColors: init, M: n}
 	solve := func() {
 		eng := sim.NewEngine(g)
-		eng.SetWorkers(1) // deterministic schedule, no pool churn
 		if _, _, err := Solve(eng, in, Options{}); err != nil {
 			t.Fatal(err)
 		}

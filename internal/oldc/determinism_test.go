@@ -77,7 +77,7 @@ func identityColoring(g *graph.Graph) ([]int, int) {
 
 // TestFamilyCacheDeterminism pins the memoization cache to the uncached
 // derivation: the same coloring and Stats must come out with the cache on
-// and off, for every worker count — i.e. neither the sync.Map nor the
+// and off, for every shard count — i.e. neither the sync.Map nor the
 // parallel Inbox interleaving may leak into outputs.
 func TestFamilyCacheDeterminism(t *testing.T) {
 	g := graph.RandomRegular(40, 8, 81)
@@ -86,11 +86,9 @@ func TestFamilyCacheDeterminism(t *testing.T) {
 		phi   coloring.Assignment
 		stats sim.Stats
 	}
-	run := func(workers int, noCache bool) result {
-		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 83)
-		if workers > 0 {
-			eng.SetWorkers(workers)
-		}
+	run := func(shards int, noCache bool) result {
+		in, _ := prepareInput(t, o, 1<<12, 5.0, 2, 83)
+		eng := sim.NewEngineWith(g, sim.Options{Shards: shards})
 		phi, stats, err := Solve(eng, in, Options{NoFamilyCache: noCache})
 		if err != nil {
 			t.Fatal(err)
@@ -98,18 +96,18 @@ func TestFamilyCacheDeterminism(t *testing.T) {
 		return result{phi, stats}
 	}
 	want := run(1, true) // uncached serial run is the baseline
-	for _, workers := range []int{1, 2, 4, 0} {
+	for _, shards := range []int{1, 2, 4, 7} {
 		for _, noCache := range []bool{false, true} {
-			got := run(workers, noCache)
+			got := run(shards, noCache)
 			for v := range want.phi {
 				if want.phi[v] != got.phi[v] {
-					t.Fatalf("workers=%d noCache=%v: color diverges at node %d", workers, noCache, v)
+					t.Fatalf("shards=%d noCache=%v: color diverges at node %d", shards, noCache, v)
 				}
 			}
 			if want.stats.Messages != got.stats.Messages || want.stats.TotalBits != got.stats.TotalBits ||
 				want.stats.Rounds != got.stats.Rounds {
-				t.Fatalf("workers=%d noCache=%v: stats diverge: want %+v got %+v",
-					workers, noCache, want.stats, got.stats)
+				t.Fatalf("shards=%d noCache=%v: stats diverge: want %+v got %+v",
+					shards, noCache, want.stats, got.stats)
 			}
 		}
 	}
@@ -118,8 +116,8 @@ func TestFamilyCacheDeterminism(t *testing.T) {
 // TestFaultScheduleDeterminism is the chaos-harness determinism
 // regression: identical seeds and fault schedule must produce
 // bit-identical colorings, Stats, and per-round fault ledgers regardless
-// of the worker count — fault injection happens inside the parallel
-// routing workers, so this pins that neither drop/corrupt decisions nor
+// of the shard count — fault injection happens inside the parallel
+// routing shards, so this pins that neither drop/corrupt decisions nor
 // ledger accounting depend on scheduling.
 func TestFaultScheduleDeterminism(t *testing.T) {
 	g := graph.RandomRegular(64, 16, 51)
@@ -128,17 +126,14 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 		phi coloring.Assignment
 		rep RobustReport
 	}
-	run := func(workers int) result {
+	run := func(shards int) result {
 		in, _ := prepareInput(t, o, 1<<13, 5.0, 2, 53)
 		model := chaos.Compose(
 			chaos.Drop(7, 0.08),
 			chaos.Flip(8, 0.08),
 			chaos.CrashWindow(3, 1, 3),
 		)
-		eng := sim.NewEngineWith(g, sim.Options{Faults: model})
-		if workers > 0 {
-			eng.SetWorkers(workers)
-		}
+		eng := sim.NewEngineWith(g, sim.Options{Shards: shards, Faults: model})
 		phi, rep, err := SolveRobust(eng, in, RobustOptions{})
 		if err != nil {
 			var res *ErrResidual
@@ -152,18 +147,18 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 	if len(want.rep.Stats.Faults) == 0 || want.rep.Stats.TotalFaults().Dropped == 0 {
 		t.Fatal("schedule recorded no faults; the regression would be vacuous")
 	}
-	for _, workers := range []int{2, 4, 8, 0} {
-		got := run(workers)
+	for _, shards := range []int{2, 4, 7} {
+		got := run(shards)
 		if !reflect.DeepEqual(want.phi, got.phi) {
-			t.Fatalf("workers=%d: coloring diverges from serial run", workers)
+			t.Fatalf("shards=%d: coloring diverges from serial run", shards)
 		}
 		if !reflect.DeepEqual(want.rep.Stats, got.rep.Stats) {
-			t.Fatalf("workers=%d: stats/fault ledger diverge:\nwant %+v\ngot  %+v",
-				workers, want.rep.Stats, got.rep.Stats)
+			t.Fatalf("shards=%d: stats/fault ledger diverge:\nwant %+v\ngot  %+v",
+				shards, want.rep.Stats, got.rep.Stats)
 		}
 		if !reflect.DeepEqual(want.rep, got.rep) {
-			t.Fatalf("workers=%d: robust report diverges:\nwant %+v\ngot  %+v",
-				workers, want.rep, got.rep)
+			t.Fatalf("shards=%d: robust report diverges:\nwant %+v\ngot  %+v",
+				shards, want.rep, got.rep)
 		}
 	}
 }
@@ -174,11 +169,9 @@ func TestFaultScheduleDeterminism(t *testing.T) {
 func TestFamilyCacheDeterminismMulti(t *testing.T) {
 	g := graph.RandomRegular(36, 6, 91)
 	o := graph.OrientByID(g)
-	run := func(workers int, noCache bool) coloring.Assignment {
-		in, eng := prepareInput(t, o, 1<<12, 5.0, 2, 93)
-		if workers > 0 {
-			eng.SetWorkers(workers)
-		}
+	run := func(shards int, noCache bool) coloring.Assignment {
+		in, _ := prepareInput(t, o, 1<<12, 5.0, 2, 93)
+		eng := sim.NewEngineWith(g, sim.Options{Shards: shards})
 		phi, _, err := SolveMulti(eng, in, Options{Gap: 1, SkipValidate: true, NoFamilyCache: noCache})
 		if err != nil {
 			t.Fatal(err)
@@ -186,12 +179,12 @@ func TestFamilyCacheDeterminismMulti(t *testing.T) {
 		return phi
 	}
 	want := run(1, true)
-	for _, workers := range []int{1, 4, 0} {
+	for _, shards := range []int{1, 4, 7} {
 		for _, noCache := range []bool{false, true} {
-			got := run(workers, noCache)
+			got := run(shards, noCache)
 			for v := range want {
 				if want[v] != got[v] {
-					t.Fatalf("workers=%d noCache=%v: color diverges at node %d", workers, noCache, v)
+					t.Fatalf("shards=%d noCache=%v: color diverges at node %d", shards, noCache, v)
 				}
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // metrics registry (a no-op when either is absent). Misses equal the
 // number of distinct types derived — derivation happens exactly once per
 // type under the cache's write lock — so for a fixed instance the split is
-// deterministic across worker counts; the arena gauges record the resident
+// deterministic across shard counts; the arena gauges record the resident
 // cost of the memoized families.
 func publishCacheStats(eng *sim.Engine, cache *cover.FamilyCache) {
 	if cache == nil {

@@ -1,410 +1,16 @@
-// Package shard implements a sharded routing engine for the simulator: the
-// node space is split into S contiguous shards, each owning its local
-// vertex range with its own CSR adjacency, routing queues, and inbox arena,
-// and shards exchange only boundary (ghost-edge) messages between rounds —
-// the classic V_local/E_ghost decomposition of distributed graph
-// frameworks, realized here with per-shard goroutines and double-buffered
-// boundary queues instead of MPI ranks.
-//
-// The engine runs the exact same Algorithm interface as sim.Engine and is
-// bit-identical to it: Stats, inbox contents and order, fault ledgers, and
-// traces match the serial engine for every shard count (pinned by the
-// golden tests in this package). What sharding changes is locality: the
-// serial router's counting sort scatters writes across arrays sized by the
-// whole graph, while each shard's sort touches only its 1/S slice, with
-// cross-shard traffic reduced to sequential queue appends. On large graphs
-// that working-set reduction is the difference between routing in cache and
-// routing in DRAM.
-//
-// Graphs enter the engine either from a materialized *graph.Graph or by
-// streaming ingest (Ingest): edges are routed to their owning shards as
-// they are emitted, so a graph can be loaded, solved, and verified without
-// ever building the global adjacency a *graph.Graph requires.
+// Package shard keeps the names under which callers built a sharded
+// engine before the simulator had a single one: partitioning now lives in
+// sim.Engine itself (sim.Options.Shards). Options and FromGraph forward to
+// package sim.
 package shard
 
 import (
-	"fmt"
-	"slices"
-	"sync/atomic"
-
-	"repro/internal/bitio"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Options configures a sharded engine. The zero value means one shard with
-// bit accounting on — the same defaults as sim.NewEngine.
-type Options struct {
-	// Shards is the number of shards S (0 or 1 = unsharded; clamped to the
-	// vertex count). Ownership is contiguous: node v belongs to shard
-	// v / ceil(n/S).
-	Shards int
-	// Bandwidth, when > 0, fails a run if any single message exceeds this
-	// many bits (CONGEST assertion mode, identical to sim.Options).
-	Bandwidth int
-	// NoCountBits disables encoding-based bit accounting.
-	NoCountBits bool
-	// Validate checks every SendTo target against the adjacency.
-	Validate bool
-	// Fault is the legacy drop hook (see sim.Engine.Fault); its drops
-	// bypass the fault ledger.
-	Fault func(round, from, to int) bool
-	// Faults installs a structured fault schedule and activates the
-	// Stats.Faults ledger (see sim.FaultModel).
-	Faults sim.FaultModel
-	// Tracer installs a round-level execution tracer.
-	Tracer obs.Tracer
-	// Metrics installs a metrics registry; the engine reports the sim
-	// round metrics plus the shard gauges (ldc_shard_boundary_msgs,
-	// ldc_shard_ghost_nodes).
-	Metrics *obs.Registry
-}
+// Options is sim.Options; its Shards field selects the partition.
+type Options = sim.Options
 
-// Boundary queues carry wire *blocks*, not individual wires: one block is
-// one sender's payload bound for one destination shard, plus the list of
-// receivers there. Because neighbor lists are sorted and shard ownership
-// is contiguous, a broadcast's receivers on any one shard form a
-// contiguous subrange of the sender's CSR adjacency — a blockAdj block
-// references that subrange in place, so a broadcast crossing to a shard
-// costs one fixed-size queue entry regardless of how many ghost edges it
-// fans out over. Targeted sends and fault-affected wires copy their
-// receivers into the shard's parity target buffer instead (blockBuf).
-const (
-	blockAdj uint8 = iota // targets are a subrange of the sender's CSR adj
-	blockBuf              // targets live in the sender's parity target buffer
-)
-
-// wireBlock is one queue entry: payload from one sender to n receivers on
-// the destination shard, with fault decisions already applied (drops are
-// never enqueued; corruptions carry the damaged copy in their own
-// single-target block).
-type wireBlock struct {
-	from    int32
-	kind    uint8
-	off, n  int32 // target range in the sender's adj (blockAdj) or tgt buffer (blockBuf)
-	payload sim.Payload
-}
-
-// shardRT is one shard: its owned vertex range, CSR adjacency, and all
-// per-round routing state. Exactly one goroutine touches a shard's mutable
-// state during a run; shards communicate only through the parity-indexed
-// out queues, read by their destination shard strictly after the send
-// barrier.
-type shardRT struct {
-	id     int
-	lo, hi int // owned global vertex range [lo, hi)
-
-	// CSR adjacency over local vertices; adj holds global neighbor ids,
-	// sorted ascending per vertex (the graph.Graph invariant).
-	offs []int32
-	adj  []int32
-
-	// outboxes collects local senders' messages each round.
-	outboxes []sim.Outbox
-	w        *bitio.Writer
-	oneTgt   [1]int32 // scratch receiver list for targeted sends under faults
-
-	// out is the double-buffered boundary queue: out[round&1][d] holds the
-	// wire blocks this shard routed to shard d in the round of that parity.
-	// The sender truncates and refills a parity's queues; the destination
-	// shard reads them after the send barrier. Entry d == id is the local
-	// lane — same mechanism, no cross-shard traffic.
-	out [2][][]wireBlock
-
-	// tgt is the parity target buffer blockBuf entries index into: explicit
-	// receiver lists for targeted sends and for fault-affected broadcast
-	// runs. Blocks store offsets, not subslices, so appends may reallocate
-	// freely; destinations resolve ranges only after the send barrier.
-	tgt [2][]int32
-
-	// Inbox arena state (local receivers only).
-	counts []int32
-	cursor []int32
-	start  []int32
-	arena  []sim.Received
-
-	// Per-round accounting, merged by the coordinator with sums and maxes
-	// only, so merged Stats are bit-identical for every shard count.
-	messages      int64
-	totalBits     int64
-	roundMax      int
-	dropped       int64
-	corrupted     int64
-	roundBoundary int64
-	active        int
-	bwErr         *sim.ErrBandwidth
-	valErr        error
-
-	cmd chan phaseID
-}
-
-// neighbors returns local vertex v's sorted global neighbor ids.
-func (sh *shardRT) neighbors(v int) []int32 {
-	return sh.adj[sh.offs[v-sh.lo]:sh.offs[v-sh.lo+1]]
-}
-
-// Engine is the sharded drop-in for sim.Engine: it satisfies sim.Runner
-// and graph.Topology, so algorithm layers written against those interfaces
-// run unchanged on either engine.
-type Engine struct {
-	n      int
-	chunk  int // ceil(n / S); owner(v) = v / chunk
-	maxDeg int
-	shards []*shardRT
-
-	ghostNodes    int64
-	boundaryEdges int64
-
-	// Bandwidth, CountBits, Validate, Fault, and Faults carry the exact
-	// sim.Engine semantics; see that type for the contracts.
-	Bandwidth int
-	CountBits bool
-	Validate  bool
-	Fault     func(round, from, to int) bool
-	Faults    sim.FaultModel
-
-	tracer     obs.Tracer
-	metrics    *obs.Registry
-	afterRound sim.RoundHook
-
-	decodeFaults atomic.Int64
-
-	// Per-run coordinator state, written only between phase barriers.
-	curAlg    sim.Algorithm
-	curRound  int
-	observing bool
-}
-
-var (
-	_ sim.Runner     = (*Engine)(nil)
-	_ graph.Topology = (*Engine)(nil)
-)
-
-// Ingest builds a sharded engine by streaming es once to size the
-// per-shard CSR storage and once more to fill it, routing each edge
-// endpoint to its owning shard as it is emitted. Memory never exceeds the
-// final sharded CSR plus one int32 per vertex of cursors — no global edge
-// list, Builder, or adjacency maps. The stream must be restartable (the
-// graph.EdgeStream contract).
-//
-// Ingest validates what a Builder would reject by panic: endpoints outside
-// [0, N) fail wrapping graph.ErrVertexRange, self loops wrapping
-// graph.ErrSelfLoop, and — unlike Builder, which silently deduplicates —
-// an edge emitted twice fails wrapping graph.ErrDuplicateEdge.
-func Ingest(es graph.EdgeStream, opts Options) (*Engine, error) {
-	n := es.N()
-	s := opts.Shards
-	if s < 1 {
-		s = 1
-	}
-	if n > 0 && s > n {
-		s = n
-	}
-	chunk := 1
-	if n > 0 {
-		chunk = (n + s - 1) / s
-	}
-	e := &Engine{
-		n:         n,
-		chunk:     chunk,
-		Bandwidth: opts.Bandwidth,
-		CountBits: !opts.NoCountBits,
-		Validate:  opts.Validate,
-		Fault:     opts.Fault,
-		Faults:    opts.Faults,
-		tracer:    opts.Tracer,
-		metrics:   opts.Metrics,
-	}
-
-	check := func(u, v int) error {
-		if u < 0 || u >= n || v < 0 || v >= n {
-			return fmt.Errorf("shard: ingest edge {%d,%d} outside [0,%d): %w", u, v, n, graph.ErrVertexRange)
-		}
-		if u == v {
-			return fmt.Errorf("shard: ingest edge {%d,%d}: %w", u, v, graph.ErrSelfLoop)
-		}
-		return nil
-	}
-
-	// Pass 1: degree count.
-	deg := make([]int32, n)
-	if err := es.ForEachEdge(func(u, v int) error {
-		if err := check(u, v); err != nil {
-			return err
-		}
-		deg[u]++
-		deg[v]++
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Lay out per-shard CSR offsets and the global fill cursors.
-	cursor := make([]int32, n)
-	e.shards = make([]*shardRT, s)
-	for i := range e.shards {
-		lo := i * chunk
-		if lo > n {
-			lo = n
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		sh := &shardRT{id: i, lo: lo, hi: hi}
-		sh.offs = make([]int32, hi-lo+1)
-		total := int32(0)
-		for v := lo; v < hi; v++ {
-			sh.offs[v-lo] = total
-			cursor[v] = total
-			total += deg[v]
-		}
-		sh.offs[hi-lo] = total
-		sh.adj = make([]int32, total)
-		e.shards[i] = sh
-	}
-
-	// Pass 2: route each endpoint into its owner's CSR.
-	if err := es.ForEachEdge(func(u, v int) error {
-		if err := check(u, v); err != nil {
-			return err
-		}
-		su := e.shards[u/chunk]
-		sv := e.shards[v/chunk]
-		if int(cursor[u]) >= int(su.offs[u-su.lo+1]) || int(cursor[v]) >= int(sv.offs[v-sv.lo+1]) {
-			return fmt.Errorf("shard: ingest edge {%d,%d}: stream changed between traversals", u, v)
-		}
-		su.adj[cursor[u]] = int32(v)
-		cursor[u]++
-		sv.adj[cursor[v]] = int32(u)
-		cursor[v]++
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	// Finalize: sort adjacency, reject duplicates, and census each shard's
-	// ghost nodes (distinct remote endpoints, via a transient bitmap) and
-	// the boundary edges they induce.
-	ghost := make([]uint64, (n+63)/64)
-	for _, sh := range e.shards {
-		for i := range ghost {
-			ghost[i] = 0
-		}
-		for v := sh.lo; v < sh.hi; v++ {
-			a := sh.neighbors(v)
-			slices.Sort(a)
-			for i, u := range a {
-				if i > 0 && a[i-1] == u {
-					return nil, fmt.Errorf("shard: ingest edge {%d,%d}: %w", v, u, graph.ErrDuplicateEdge)
-				}
-				if int(u) < sh.lo || int(u) >= sh.hi {
-					if v < int(u) {
-						e.boundaryEdges++
-					}
-					if ghost[u>>6]&(1<<(uint(u)&63)) == 0 {
-						ghost[u>>6] |= 1 << (uint(u) & 63)
-						e.ghostNodes++
-					}
-				}
-			}
-			if len(a) > e.maxDeg {
-				e.maxDeg = len(a)
-			}
-		}
-	}
-
-	// Allocate the per-shard runtime state.
-	for _, sh := range e.shards {
-		local := sh.hi - sh.lo
-		sh.outboxes = make([]sim.Outbox, local)
-		sh.w = bitio.NewWriter()
-		for q := 0; q < 2; q++ {
-			sh.out[q] = make([][]wireBlock, s)
-		}
-		sh.counts = make([]int32, local)
-		sh.cursor = make([]int32, local)
-		sh.start = make([]int32, local+1)
-		sh.cmd = make(chan phaseID)
-	}
-	if e.metrics != nil {
-		e.metrics.Gauge(obs.MetricShardGhostNodes).Set(e.ghostNodes)
-	}
-	return e, nil
-}
-
-// FromGraph builds a sharded engine over a materialized graph (via the
-// Stream adapter, so FromGraph and Ingest share one construction path). A
-// valid *graph.Graph cannot fail ingest, so FromGraph never errors.
-func FromGraph(g *graph.Graph, opts Options) *Engine {
-	e, err := Ingest(graph.Stream(g), opts)
-	if err != nil {
-		panic(fmt.Sprintf("shard: FromGraph on validated graph: %v", err))
-	}
-	return e
-}
-
-// N returns the number of vertices (graph.Topology).
-func (e *Engine) N() int { return e.n }
-
-// MaxDegree returns Δ of the ingested graph (graph.Topology).
-func (e *Engine) MaxDegree() int { return e.maxDeg }
-
-// Neighbors returns v's sorted global neighbor ids, served from the owning
-// shard's CSR storage; callers must not modify it (graph.Topology).
-func (e *Engine) Neighbors(v int) []int32 {
-	return e.shards[v/e.chunk].neighbors(v)
-}
-
-// Edges returns the number of undirected edges ingested (each edge is
-// stored once per endpoint, so this is half the total adjacency length).
-func (e *Engine) Edges() int64 {
-	var total int64
-	for _, sh := range e.shards {
-		total += int64(sh.offs[len(sh.offs)-1])
-	}
-	return total / 2
-}
-
-// Shards returns the shard count S.
-func (e *Engine) Shards() int { return len(e.shards) }
-
-// Owner returns the shard that owns vertex v.
-func (e *Engine) Owner(v int) int { return v / e.chunk }
-
-// GhostNodes returns the partition's ghost total: for each shard, the
-// number of distinct remote vertices its adjacency references, summed over
-// shards — the replication cost a distributed deployment would pay.
-func (e *Engine) GhostNodes() int64 { return e.ghostNodes }
-
-// BoundaryEdges returns the number of edges whose endpoints live on
-// different shards; every message on such an edge crosses a boundary
-// queue.
-func (e *Engine) BoundaryEdges() int64 { return e.boundaryEdges }
-
-// SetTracer installs (or, with nil, removes) the engine's round tracer.
-func (e *Engine) SetTracer(t obs.Tracer) { e.tracer = t }
-
-// Tracer returns the installed round tracer (nil when tracing is off).
-func (e *Engine) Tracer() obs.Tracer { return e.tracer }
-
-// SetMetrics installs (or, with nil, removes) the metrics registry.
-func (e *Engine) SetMetrics(r *obs.Registry) { e.metrics = r }
-
-// SetAfterRound installs (or, with nil, removes) the between-rounds hook
-// (see sim.RoundHook); it runs on the coordinator after each round's
-// deliver barrier and accounting merge.
-func (e *Engine) SetAfterRound(h sim.RoundHook) { e.afterRound = h }
-
-var _ sim.Resumable = (*Engine)(nil)
-
-// Metrics returns the installed metrics registry (nil when metrics are
-// off).
-func (e *Engine) Metrics() *obs.Registry { return e.metrics }
-
-// ReportDecodeFault records one detected decode failure in the current
-// round's fault ledger (sim.Runner); safe from concurrent Inbox callbacks.
-func (e *Engine) ReportDecodeFault() {
-	e.decodeFaults.Add(1)
-}
+// FromGraph returns sim.NewEngineWith(g, opts).
+func FromGraph(g *graph.Graph, opts Options) *sim.Engine { return sim.NewEngineWith(g, opts) }

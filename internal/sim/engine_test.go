@@ -68,7 +68,7 @@ func TestQuiescenceAllMessagesDropped(t *testing.T) {
 	// quiescent: nothing was delivered.
 	g := graph.Ring(8)
 	e := NewEngine(g)
-	e.Fault = func(round, from, to int) bool { return true }
+	e.Faults = dropIf(func(round, from, to int) bool { return true })
 	a := &talkThenHush{talk: 1000}
 	stats, err := e.Run(a, 1000)
 	if err != nil {
@@ -128,12 +128,9 @@ func TestValidateAcceptsLegalTraffic(t *testing.T) {
 func TestFaultAccountingExcludesDrops(t *testing.T) {
 	g := graph.Clique(6)
 	// Drop everything node 0 sends: 5 of the 30 wires per round.
-	runWith := func(workers int) Stats {
-		e := NewEngine(g)
-		if workers > 0 {
-			e.SetWorkers(workers)
-		}
-		e.Fault = func(round, from, to int) bool { return from == 0 }
+	fromZero := dropIf(func(round, from, to int) bool { return from == 0 })
+	runWith := func(shards int) Stats {
+		e := NewEngineWith(g, Options{Shards: shards, Faults: fromZero})
 		a := newFlood(6)
 		stats, err := e.Run(a, 30)
 		if err != nil {
@@ -141,7 +138,7 @@ func TestFaultAccountingExcludesDrops(t *testing.T) {
 		}
 		return stats
 	}
-	stats := runWith(0)
+	stats := runWith(1)
 	perRound := int64(6*5 - 5)
 	if stats.Messages != int64(stats.Rounds)*perRound {
 		t.Fatalf("messages = %d over %d rounds, want %d per round (drops must not count)",
@@ -150,29 +147,31 @@ func TestFaultAccountingExcludesDrops(t *testing.T) {
 	if len(stats.RoundMaxBits) != stats.Rounds {
 		t.Fatalf("RoundMaxBits history has %d entries for %d rounds", len(stats.RoundMaxBits), stats.Rounds)
 	}
+	if stats.TotalFaults().Dropped != int64(stats.Rounds)*5 {
+		t.Fatalf("ledger dropped %d wires over %d rounds, want 5 per round", stats.TotalFaults().Dropped, stats.Rounds)
+	}
 	// TotalBits must equal the sum of per-wire sizes of delivered messages
 	// only: cross-check against the seed-semantics reference engine run
 	// under the identical fault pattern.
-	ref, err := referenceRun(g, newFlood(6), 30, func(round, from, to int) bool { return from == 0 })
+	ref, err := referenceRun(g, newFlood(6), 30, fromZero)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(ref, stats) {
 		t.Fatalf("faulted stats diverge from reference:\n want %+v\n  got %+v", ref, stats)
 	}
-	// Accounting under faults must be identical for any worker count.
-	if s1 := runWith(1); !reflect.DeepEqual(s1, stats) {
-		t.Fatalf("workers=1 stats diverge under faults:\n %+v\n %+v", s1, stats)
+	// Accounting under faults must be identical for any shard count.
+	for _, shards := range shardCounts[1:] {
+		if s := runWith(shards); !reflect.DeepEqual(s, stats) {
+			t.Fatalf("shards=%d stats diverge under faults:\n %+v\n %+v", shards, s, stats)
+		}
 	}
 }
 
 func TestWorkerCountInvariance(t *testing.T) {
 	g := graph.GNP(200, 0.05, 9)
-	run := func(workers int) (Stats, []int64) {
-		e := NewEngine(g)
-		if workers > 0 {
-			e.SetWorkers(workers)
-		}
+	run := func(shards int) (Stats, []int64) {
+		e := NewEngineWith(g, Options{Shards: shards})
 		a := newFlood(200)
 		stats, err := e.Run(a, 500)
 		if err != nil {
@@ -180,14 +179,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 		}
 		return stats, a.min
 	}
-	baseStats, baseMin := run(0)
-	for _, workers := range []int{1, 2, 3, 7} {
-		stats, min := run(workers)
+	baseStats, baseMin := run(1)
+	for _, shards := range []int{2, 3, 7, 200} {
+		stats, min := run(shards)
 		if !reflect.DeepEqual(stats, baseStats) {
-			t.Fatalf("workers=%d stats diverge:\n %+v\n %+v", workers, stats, baseStats)
+			t.Fatalf("shards=%d stats diverge:\n %+v\n %+v", shards, stats, baseStats)
 		}
 		if !reflect.DeepEqual(min, baseMin) {
-			t.Fatalf("workers=%d algorithm output diverges", workers)
+			t.Fatalf("shards=%d algorithm output diverges", shards)
 		}
 	}
 }
@@ -233,18 +232,15 @@ func TestSameSenderDeliveryOrder(t *testing.T) {
 func TestBandwidthDeterministicFirstViolation(t *testing.T) {
 	// Every node broadcasts an oversized message; the reported violation
 	// must be the globally first wire in sender order — node 0 to its first
-	// neighbor — for every worker count.
+	// neighbor — for every shard count.
 	g := graph.GNP(64, 0.2, 3)
-	for _, workers := range []int{0, 1, 3} {
-		e := NewEngine(g)
-		if workers > 0 {
-			e.SetWorkers(workers)
-		}
+	for _, shards := range []int{1, 3, 7} {
+		e := NewEngineWith(g, Options{Shards: shards})
 		e.Bandwidth = 2
 		_, err := e.Run(newFlood(64), 10)
 		be, ok := err.(*ErrBandwidth)
 		if !ok {
-			t.Fatalf("workers=%d: got %T: %v", workers, err, err)
+			t.Fatalf("shards=%d: got %T: %v", shards, err, err)
 		}
 		// Expected first violation: smallest sender (in id order) whose
 		// varint payload exceeds the bandwidth and that has a neighbor.
@@ -258,8 +254,8 @@ func TestBandwidthDeterministicFirstViolation(t *testing.T) {
 			}
 		}
 		if be.From != first || be.To != int(g.Neighbors(first)[0]) || be.Round != 0 {
-			t.Fatalf("workers=%d: violation %d->%d round %d, want %d->%d round 0",
-				workers, be.From, be.To, be.Round, first, g.Neighbors(first)[0])
+			t.Fatalf("shards=%d: violation %d->%d round %d, want %d->%d round 0",
+				shards, be.From, be.To, be.Round, first, g.Neighbors(first)[0])
 		}
 	}
 }

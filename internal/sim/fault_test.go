@@ -14,6 +14,17 @@ type stubModel func(round, from, to int) (FaultOutcome, uint64)
 
 func (f stubModel) Wire(round, from, to int) (FaultOutcome, uint64) { return f(round, from, to) }
 
+// dropIf is a FaultModel that drops exactly the wires its predicate
+// selects and never corrupts.
+type dropIf func(round, from, to int) bool
+
+func (f dropIf) Wire(round, from, to int) (FaultOutcome, uint64) {
+	if f(round, from, to) {
+		return FaultDrop, 0
+	}
+	return FaultNone, 0
+}
+
 func TestStructuredDropPopulatesLedger(t *testing.T) {
 	g := graph.Ring(10)
 	e := NewEngineWith(g, Options{
@@ -127,16 +138,6 @@ func TestLedgerNilWithoutStructuredModel(t *testing.T) {
 	if stats.Faults != nil {
 		t.Fatal("fault-free run must not allocate a ledger")
 	}
-
-	e = NewEngine(g)
-	e.Fault = func(round, from, to int) bool { return from == 0 }
-	stats, err = e.Run(newFlood(6), 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Faults != nil {
-		t.Fatal("legacy hook must not activate the ledger")
-	}
 }
 
 func TestFaultLedgerWorkerIndependent(t *testing.T) {
@@ -152,8 +153,8 @@ func TestFaultLedgerWorkerIndependent(t *testing.T) {
 		}
 		return FaultNone, 0
 	})
-	run := func(workers int) ([]int64, Stats) {
-		e := NewEngineWith(g, Options{Workers: workers, Faults: model})
+	run := func(shards int) ([]int64, Stats) {
+		e := NewEngineWith(g, Options{Shards: shards, Faults: model})
 		a := &tolerantFlood{floodAlg: *newFlood(120), eng: e}
 		stats, err := e.Run(a, 200)
 		if err != nil {
@@ -162,12 +163,14 @@ func TestFaultLedgerWorkerIndependent(t *testing.T) {
 		return a.min, stats
 	}
 	min1, stats1 := run(1)
-	min8, stats8 := run(8)
-	if !reflect.DeepEqual(min1, min8) {
-		t.Fatal("results differ across worker counts under faults")
-	}
-	if !reflect.DeepEqual(stats1, stats8) {
-		t.Fatalf("stats differ across worker counts:\n1: %+v\n8: %+v", stats1, stats8)
+	for _, shards := range shardCounts[1:] {
+		minS, statsS := run(shards)
+		if !reflect.DeepEqual(min1, minS) {
+			t.Fatalf("shards=%d: results differ under faults", shards)
+		}
+		if !reflect.DeepEqual(stats1, statsS) {
+			t.Fatalf("shards=%d: stats differ:\n1: %+v\n%d: %+v", shards, stats1, shards, statsS)
+		}
 	}
 	if stats1.TotalFaults().Dropped == 0 || stats1.TotalFaults().Corrupted == 0 {
 		t.Fatal("test model produced no faults; tighten the hash")

@@ -38,15 +38,14 @@ func BenchmarkEngineRoundNoBits(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineSequential pins the pool to one worker to expose the
-// parallel speedup of the default configuration.
-func BenchmarkEngineSequential(b *testing.B) {
+// BenchmarkEngineSharded runs the same flood on four shards to expose the
+// parallel speedup over the one-shard default.
+func BenchmarkEngineSharded(b *testing.B) {
 	g := graph.RandomRegular(4096, 8, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewEngine(g)
-		e.SetWorkers(1)
+		e := NewEngineWith(g, Options{Shards: 4})
 		a := newFlood(g.N())
 		if _, err := e.Run(a, 30); err != nil {
 			b.Fatal(err)

@@ -50,11 +50,13 @@ func TestStatsAdd(t *testing.T) {
 
 func TestEngineAccessorsAndWorkers(t *testing.T) {
 	g := graph.Ring(12)
-	e := NewEngine(g)
-	if e.Graph() != g {
-		t.Fatal("Graph accessor wrong")
+	e := NewEngineWith(g, Options{Shards: 0}) // clamps to 1
+	if e.N() != 12 || e.MaxDegree() != 2 || e.Edges() != 12 || len(e.Neighbors(0)) != 2 {
+		t.Fatalf("topology accessors wrong: n=%d Δ=%d m=%d", e.N(), e.MaxDegree(), e.Edges())
 	}
-	e.SetWorkers(0) // clamps to 1
+	if e.Workers() != 1 {
+		t.Fatalf("workers=%d, want 1", e.Workers())
+	}
 	a := newFlood(12)
 	stats, err := e.Run(a, 50)
 	if err != nil {
@@ -80,8 +82,10 @@ func TestErrBandwidthMessage(t *testing.T) {
 
 func TestManyWorkersClamped(t *testing.T) {
 	g := graph.Path(3)
-	e := NewEngine(g)
-	e.SetWorkers(1000) // more workers than nodes
+	e := NewEngineWith(g, Options{Shards: 1000}) // more shards than nodes
+	if e.Workers() != 3 {
+		t.Fatalf("workers=%d, want 3 (one shard per node)", e.Workers())
+	}
 	a := newFlood(3)
 	if _, err := e.Run(a, 20); err != nil {
 		t.Fatal(err)

@@ -3,29 +3,29 @@
 // distributed algorithm in this repository.
 //
 // Execution proceeds in synchronous rounds. In each round every node first
-// produces its outgoing messages (computed in parallel across nodes by a
-// worker pool), then the engine routes and delivers them, then every node
-// consumes its inbox (again in parallel). The engine measures the exact bit
-// size of every message by running its bitio encoding, so CONGEST bandwidth
-// claims are checked against real encodings rather than struct sizes.
+// produces its outgoing messages, then the engine routes and delivers
+// them, then every node consumes its inbox. The engine measures the exact
+// bit size of every message by running its bitio encoding, so CONGEST
+// bandwidth claims are checked against real encodings rather than struct
+// sizes.
 //
-// The routing phase is itself parallel: senders are partitioned into
-// contiguous shards, each shard encodes and counts its messages into a
-// private accounting partial, and a two-pass counting sort places every
-// message into a flat per-round arena (CSR-style offsets, mirroring
-// internal/graph's adjacency layout). Broadcasts are encoded once per
-// sender per round, not once per wire; bit totals still count every wire.
-// See docs/SIMULATOR.md for the full concurrency contract.
+// The vertex range is split into S contiguous shards (one by default),
+// the V_local/E_ghost decomposition of distributed graph frameworks: each
+// shard runs its nodes' callbacks on its own goroutine, routes their
+// messages into per-destination-shard queues of wire blocks, and
+// counting-sorts its inbound queues into a flat inbox arena. Broadcasts are
+// encoded once per sender per round, not once per wire; bit totals still
+// count every wire. See docs/SIMULATOR.md for the full concurrency
+// contract.
 //
 // The per-node callbacks of an Algorithm must only touch the state of the
-// node they are invoked for (plus read-only shared configuration); the
-// engine invokes them concurrently.
+// node they are invoked for (plus read-only shared configuration); with
+// more than one shard the engine invokes them concurrently.
 package sim
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/bitio"
@@ -62,8 +62,9 @@ type Algorithm interface {
 
 // Quiescent is an optional extension of Algorithm. After any round in which
 // no message was delivered anywhere in the network (nothing sent, or every
-// message dropped by Fault), the engine calls Quiesced; returning true ends
-// the run successfully, exactly as if Done had reported termination. This
+// message dropped by the fault model), the engine calls Quiesced;
+// returning true ends the run successfully, exactly as if Done had
+// reported termination. This
 // lets flood-style algorithms terminate as soon as the network goes silent
 // instead of burning an explicit "quiet round" protocol.
 type Quiescent interface {
@@ -114,15 +115,14 @@ type Stats struct {
 	MaxMessageBits int   // size of the largest single message
 	RoundMaxBits   []int // per-round maximum message size
 	// Faults is the per-round fault ledger, populated only while a
-	// structured FaultModel is installed (len == Rounds then, nil
-	// otherwise); the legacy Fault hook never activates it, so fault-free
-	// and legacy runs keep their exact seed Stats.
+	// FaultModel is installed (len == Rounds then, nil otherwise), so
+	// fault-free runs keep their exact seed Stats.
 	Faults []RoundFaults
 }
 
 // RoundFaults is one round's entry in the fault ledger. All fields merge
 // with sums across routing shards, so the ledger is bit-identical for
-// every worker count.
+// every shard count.
 type RoundFaults struct {
 	Dropped      int64 // wires dropped by the fault model
 	Corrupted    int64 // wires delivered with flipped payload bits
@@ -186,10 +186,10 @@ const (
 // FaultModel is a structured, composable fault schedule (internal/chaos
 // provides the standard implementations: i.i.d. drops, targeted wire
 // adversaries, crash and crash-recover node faults, bit flips). Wire is
-// consulted exactly once per wire per round from the routing workers, so
+// consulted exactly once per wire per round from the routing shards, so
 // implementations must be safe for concurrent use and must depend only on
 // their arguments — that is what makes fault schedules seed-deterministic
-// and worker-count independent. The returned salt seeds the choice of
+// and shard-count independent. The returned salt seeds the choice of
 // flipped bit when the outcome is FaultCorrupt (the engine flips bit
 // salt mod message length) and is ignored otherwise.
 //
@@ -200,10 +200,28 @@ type FaultModel interface {
 	Wire(round, from, to int) (FaultOutcome, uint64)
 }
 
-// Engine executes algorithms over a fixed communication graph.
+// Engine executes algorithms over a fixed communication graph. The vertex
+// range is split into S contiguous shards (Options.Shards, default 1);
+// each shard owns its vertices' outboxes, routing queues and inbox arena
+// and runs on its own goroutine, and shards exchange only the messages
+// that cross a shard boundary. Stats, inbox contents and order, fault
+// ledgers and traces are bit-identical for every shard count.
 type Engine struct {
-	g       *graph.Graph
-	workers int
+	// Adjacency: the graph itself when built by NewEngine/NewEngineWith,
+	// otherwise the CSR that Ingest streamed (vertex v's sorted neighbors
+	// are adj[off[v]:off[v+1]]).
+	g        *graph.Graph
+	off, adj []int32
+
+	n      int
+	chunk  int // ceil(n / S); vertex v belongs to shard v / chunk
+	shards []*shard
+
+	// The ghost/boundary census is computed on first use.
+	censusDone    bool
+	ghostNodes    int64
+	boundaryEdges int64
+
 	// Bandwidth, when > 0, makes Run fail if any single message exceeds
 	// this many bits (CONGEST assertion mode).
 	Bandwidth int
@@ -215,16 +233,6 @@ type Engine struct {
 	// violation. The check runs outside the Outbox fast path, so leaving
 	// it off costs nothing per send.
 	Validate bool
-	// Fault is the legacy ad-hoc drop hook, kept for backward
-	// compatibility: a message from `from` to `to` in `round` is discarded
-	// when Fault returns true. It is invoked exactly once per wire per
-	// round, from the routing workers: it must be safe for concurrent use
-	// and should depend only on its arguments. New code should install a
-	// structured, composable schedule from internal/chaos via Faults
-	// instead — only Faults activates the Stats.Faults ledger and payload
-	// corruption. When both are set, Fault is consulted first and its
-	// drops bypass the ledger.
-	Fault func(round, from, to int) bool
 	// Faults, when non-nil, is the structured fault model consulted once
 	// per wire per round (see FaultModel). Installing it activates the
 	// per-round fault ledger in Stats.
@@ -244,46 +252,229 @@ type Engine struct {
 	// decodeFaults counts ReportDecodeFault calls during the current
 	// round's Inbox phase; the engine drains it into the ledger.
 	decodeFaults atomic.Int64
+
+	// Per-run state, written by the round loop only between phases.
+	curAlg    Algorithm
+	curRound  int
+	observing bool
 }
 
-// Options bundles optional engine configuration for NewEngineWith.
+// Runner is the engine under the name the former two-engine interface
+// had, kept for callers that still spell it that way.
+type Runner = *Engine
+
+// Options bundles optional engine configuration for NewEngineWith and
+// Ingest.
 type Options struct {
-	Workers     int  // worker-pool size (0 = GOMAXPROCS)
+	// Shards is the number of contiguous vertex shards, each run by its
+	// own goroutine (0 or 1 = one shard, fully sequential; clamped to the
+	// vertex count). Output is identical for every value; more shards
+	// trade CPU time for wall time on compute-heavy algorithms.
+	Shards      int
 	Bandwidth   int  // per-message bit budget (0 = unlimited)
 	NoCountBits bool // disable encoding-based bit accounting
 	Validate    bool // check SendTo targets against the graph
 	// Faults installs a structured fault schedule (see FaultModel and
 	// internal/chaos) and activates the Stats.Faults ledger.
 	Faults FaultModel
-	// Fault is the legacy drop hook (see Engine.Fault).
-	Fault func(round, from, to int) bool
 	// Tracer installs a round-level execution tracer (see obs.Tracer and
 	// docs/OBSERVABILITY.md). nil disables tracing.
 	Tracer obs.Tracer
-	// Metrics installs a metrics registry the engine reports into. nil
-	// disables metrics.
+	// Metrics installs a metrics registry the engine reports into; with
+	// more than one shard it also gauges ldc_shard_ghost_nodes and
+	// ldc_shard_boundary_msgs. nil disables metrics.
 	Metrics *obs.Registry
 }
 
-// NewEngine returns an engine over the communication graph g.
-func NewEngine(g *graph.Graph) *Engine {
-	return &Engine{g: g, workers: runtime.GOMAXPROCS(0), CountBits: true}
+// NewEngine returns a one-shard engine over the communication graph g.
+func NewEngine(g *graph.Graph) *Engine { return NewEngineWith(g, Options{}) }
+
+// NewEngineWith returns an engine over g configured by opts. The engine
+// reads g's adjacency in place, so construction does not copy or scan the
+// edges; g must not change while the engine is in use.
+func NewEngineWith(g *graph.Graph, opts Options) *Engine {
+	e := newEngine(g.N(), opts)
+	e.g = g
+	return e
 }
 
-// NewEngineWith returns an engine over g configured by opts.
-func NewEngineWith(g *graph.Graph, opts Options) *Engine {
-	e := NewEngine(g)
-	if opts.Workers > 0 {
-		e.SetWorkers(opts.Workers)
+// newEngine lays out the shards of an n-vertex engine; the caller
+// installs the adjacency.
+func newEngine(n int, opts Options) *Engine {
+	s := opts.Shards
+	if s < 1 {
+		s = 1
 	}
-	e.Bandwidth = opts.Bandwidth
-	e.CountBits = !opts.NoCountBits
-	e.Validate = opts.Validate
-	e.Faults = opts.Faults
-	e.Fault = opts.Fault
-	e.tracer = opts.Tracer
-	e.metrics = opts.Metrics
+	if n > 0 && s > n {
+		s = n
+	}
+	chunk := 1
+	if n > 0 {
+		chunk = (n + s - 1) / s
+	}
+	e := &Engine{
+		n:         n,
+		chunk:     chunk,
+		Bandwidth: opts.Bandwidth,
+		CountBits: !opts.NoCountBits,
+		Validate:  opts.Validate,
+		Faults:    opts.Faults,
+		tracer:    opts.Tracer,
+		metrics:   opts.Metrics,
+	}
+	e.shards = make([]*shard, s)
+	for i := range e.shards {
+		lo := min(i*chunk, n)
+		hi := min(lo+chunk, n)
+		e.shards[i] = &shard{e: e, id: i, lo: lo, hi: hi, out: make([][]wireBlock, s)}
+	}
 	return e
+}
+
+// Ingest builds an engine by streaming es twice: once to count degrees
+// and once to fill a CSR adjacency, with no global edge list, Builder or
+// per-vertex maps. The stream must be restartable (the graph.EdgeStream
+// contract).
+//
+// Ingest validates what a Builder would reject by panic: endpoints outside
+// [0, N) fail wrapping graph.ErrVertexRange, self loops wrapping
+// graph.ErrSelfLoop, and — unlike Builder, which silently deduplicates —
+// an edge emitted twice fails wrapping graph.ErrDuplicateEdge.
+func Ingest(es graph.EdgeStream, opts Options) (*Engine, error) {
+	n := es.N()
+	check := func(u, v int) error {
+		if u < 0 || u >= n || v < 0 || v >= n {
+			return fmt.Errorf("sim: ingest edge {%d,%d} outside [0,%d): %w", u, v, n, graph.ErrVertexRange)
+		}
+		if u == v {
+			return fmt.Errorf("sim: ingest edge {%d,%d}: %w", u, v, graph.ErrSelfLoop)
+		}
+		return nil
+	}
+	off := make([]int32, n+1)
+	if err := es.ForEachEdge(func(u, v int) error {
+		if err := check(u, v); err != nil {
+			return err
+		}
+		off[u+1]++
+		off[v+1]++
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	adj := make([]int32, off[n])
+	cursor := append([]int32(nil), off[:n]...)
+	if err := es.ForEachEdge(func(u, v int) error {
+		if err := check(u, v); err != nil {
+			return err
+		}
+		if cursor[u] >= off[u+1] || cursor[v] >= off[v+1] {
+			return fmt.Errorf("sim: ingest edge {%d,%d}: stream changed between traversals", u, v)
+		}
+		adj[cursor[u]] = int32(v)
+		cursor[u]++
+		adj[cursor[v]] = int32(u)
+		cursor[v]++
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	for v := 0; v < n; v++ {
+		a := adj[off[v]:off[v+1]]
+		slices.Sort(a)
+		for i := 1; i < len(a); i++ {
+			if a[i-1] == a[i] {
+				return nil, fmt.Errorf("sim: ingest edge {%d,%d}: %w", v, a[i], graph.ErrDuplicateEdge)
+			}
+		}
+	}
+	e := newEngine(n, opts)
+	e.off, e.adj = off, adj
+	return e, nil
+}
+
+// N returns the number of vertices (graph.Topology).
+func (e *Engine) N() int { return e.n }
+
+// Neighbors returns v's sorted neighbor ids; callers must not modify the
+// slice (graph.Topology).
+func (e *Engine) Neighbors(v int) []int32 {
+	if e.g != nil {
+		return e.g.Neighbors(v)
+	}
+	return e.adj[e.off[v]:e.off[v+1]]
+}
+
+// MaxDegree returns Δ of the engine's graph (graph.Topology).
+func (e *Engine) MaxDegree() int {
+	if e.g != nil {
+		return e.g.MaxDegree()
+	}
+	d := 0
+	for v := 0; v < e.n; v++ {
+		d = max(d, int(e.off[v+1]-e.off[v]))
+	}
+	return d
+}
+
+// Edges returns the number of undirected edges.
+func (e *Engine) Edges() int64 {
+	if e.g != nil {
+		return int64(e.g.M())
+	}
+	return int64(len(e.adj) / 2)
+}
+
+// Workers returns the number of goroutines a round runs on: the shard
+// count S. Benchmark reports record it.
+func (e *Engine) Workers() int { return len(e.shards) }
+
+// GhostNodes returns the partition's ghost total: for each shard, the
+// number of distinct remote vertices its adjacency references, summed over
+// shards — the replication cost a distributed deployment would pay.
+func (e *Engine) GhostNodes() int64 {
+	e.census()
+	return e.ghostNodes
+}
+
+// BoundaryEdges returns the number of edges whose endpoints live on
+// different shards; every message on such an edge crosses shards.
+func (e *Engine) BoundaryEdges() int64 {
+	e.census()
+	return e.boundaryEdges
+}
+
+// census scans the adjacency once for the ghost/boundary counts; with one
+// shard both are zero and nothing is scanned.
+func (e *Engine) census() {
+	if e.censusDone {
+		return
+	}
+	e.censusDone = true
+	if len(e.shards) == 1 {
+		return
+	}
+	ghost := make([]uint64, (e.n+63)/64)
+	for _, sh := range e.shards {
+		clear(ghost)
+		for v := sh.lo; v < sh.hi; v++ {
+			for _, u := range e.Neighbors(v) {
+				if int(u) >= sh.lo && int(u) < sh.hi {
+					continue
+				}
+				if v < int(u) {
+					e.boundaryEdges++
+				}
+				if bit := uint64(1) << (uint(u) & 63); ghost[u>>6]&bit == 0 {
+					ghost[u>>6] |= bit
+					e.ghostNodes++
+				}
+			}
+		}
+	}
 }
 
 // SetAfterRound installs (or, with nil, removes) the engine's between-
@@ -315,25 +506,6 @@ func (e *Engine) ReportDecodeFault() {
 	e.decodeFaults.Add(1)
 }
 
-// SetWorkers overrides the worker-pool size (1 forces fully sequential
-// execution; useful to pin down scheduling-independent behavior in tests).
-// Stats are identical for every worker count: per-shard accounting merges
-// with order-independent operations only.
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.workers = n
-}
-
-// Workers returns the configured worker-pool size (defaults to
-// GOMAXPROCS); benchmark reports record it so figures are comparable
-// across machines.
-func (e *Engine) Workers() int { return e.workers }
-
-// Graph returns the communication graph.
-func (e *Engine) Graph() *graph.Graph { return e.g }
-
 // ErrBandwidth is returned wrapped by Run when a message exceeds the
 // configured bandwidth.
 type ErrBandwidth struct {
@@ -344,40 +516,6 @@ type ErrBandwidth struct {
 func (e *ErrBandwidth) Error() string {
 	return fmt.Sprintf("sim: round %d message %d->%d is %d bits, exceeds bandwidth %d",
 		e.Round, e.From, e.To, e.Bits, e.Limit)
-}
-
-// parallel runs f(v) for v in [0, n) on the worker pool.
-func (e *Engine) parallel(n int, f func(v int)) {
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for v := 0; v < n; v++ {
-			f(v)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				f(v)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // --- Common payloads ---
