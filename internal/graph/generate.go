@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -130,12 +131,24 @@ func GNP(n int, p float64, seed int64) *Graph {
 // RandomRegular returns a d-regular graph on n vertices sampled via the
 // configuration model followed by edge-swap repair of loops and duplicate
 // edges. n*d must be even and d < n.
+//
+// Each repair attempt takes the first bad pair (a loop or a duplicate
+// edge) and tries to swap it with a uniformly random pair. A min-heap of
+// the positions that may be bad finds that pair in O(log m), so the
+// repair costs O((m + attempts)·log m) instead of a rescan of all m pairs
+// per attempt, and draws from the RNG in the rescan's order: a seed gives
+// the same graph as ever. For d = n-1 it returns Clique(n), the only
+// (n-1)-regular graph, which the repair reaches on some seeds only. An
+// input the repair cannot finish in a million attempts panics.
 func RandomRegular(n, d int, seed int64) *Graph {
 	if n*d%2 != 0 {
 		panic("graph: RandomRegular needs n*d even")
 	}
 	if d >= n {
 		panic("graph: RandomRegular needs d < n")
+	}
+	if d == n-1 {
+		return Clique(n)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	stubs := make([]int, n*d)
@@ -161,22 +174,27 @@ func RandomRegular(n, d int, seed int64) *Graph {
 			count[key(e[0], e[1])]++
 		}
 	}
+	// cand holds every bad position, and stale ones that are dropped when
+	// they reach the top. Ascending order is already a min-heap.
+	var cand intHeap
+	for i, e := range pairs {
+		if bad(e) {
+			cand = append(cand, i)
+		}
+	}
 	// Repair by double edge swaps: replace a bad pair {u,v} and a random
 	// pair {x,y} with {u,x} and {v,y} when that strictly helps.
 	for attempt := 0; ; attempt++ {
 		if attempt > 1000000 {
 			panic(fmt.Sprintf("graph: RandomRegular(%d,%d) failed to converge", n, d))
 		}
-		badIdx := -1
-		for i, e := range pairs {
-			if bad(e) {
-				badIdx = i
-				break
-			}
+		for len(cand) > 0 && !bad(pairs[cand[0]]) {
+			heap.Pop(&cand)
 		}
-		if badIdx == -1 {
+		if len(cand) == 0 {
 			break
 		}
+		badIdx := cand[0]
 		j := rng.Intn(len(pairs))
 		if j == badIdx {
 			continue
@@ -200,12 +218,32 @@ func RandomRegular(n, d int, seed int64) *Graph {
 		count[key(v, y)]++
 		pairs[badIdx] = edge{u, x}
 		pairs[j] = edge{v, y}
+		// The new edges are no loops and were absent, so the only pair a
+		// swap can make bad is the double-loop one, {u,u},{x,x} → {u,x}
+		// twice: position j. badIdx is still in cand.
+		if bad(pairs[j]) {
+			heap.Push(&cand, j)
+		}
 	}
 	b := NewBuilder(n)
 	for _, e := range pairs {
 		b.AddEdge(e[0], e[1])
 	}
 	return b.Build()
+}
+
+// intHeap is a min-heap of ints for container/heap.
+type intHeap []int
+
+func (h intHeap) Len() int           { return len(h) }
+func (h intHeap) Less(i, j int) bool { return h[i] < h[j] }
+func (h intHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *intHeap) Push(x any)        { *h = append(*h, x.(int)) }
+func (h *intHeap) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // PreferentialAttachment returns a Barabási–Albert style power-law graph:

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -55,25 +56,19 @@ func (b *Builder) AddEdge(u, v int) *Builder {
 // Build finalizes the graph. It deduplicates edges and sorts adjacency
 // lists.
 func (b *Builder) Build() *Graph {
-	sort.Slice(b.edges, func(i, j int) bool {
-		if b.edges[i][0] != b.edges[j][0] {
-			return b.edges[i][0] < b.edges[j][0]
-		}
-		return b.edges[i][1] < b.edges[j][1]
-	})
-	g := &Graph{n: b.n, adj: make([][]int32, b.n)}
-	var last [2]int32 = [2]int32{-1, -1}
-	for _, e := range b.edges {
-		if e == last {
-			continue
-		}
-		last = e
-		g.adj[e[0]] = append(g.adj[e[0]], e[1])
-		g.adj[e[1]] = append(g.adj[e[1]], e[0])
-		g.m++
+	// Sorted u<<32|v keys (u < v) hand every list its smaller neighbours
+	// in order, then its larger ones in order.
+	keys := make([]uint64, len(b.edges))
+	for i, e := range b.edges {
+		keys[i] = uint64(e[0])<<32 | uint64(e[1])
 	}
-	for v := range g.adj {
-		sort.Slice(g.adj[v], func(i, j int) bool { return g.adj[v][i] < g.adj[v][j] })
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	g := &Graph{n: b.n, adj: make([][]int32, b.n), m: len(keys)}
+	for _, k := range keys {
+		u, v := int32(k>>32), int32(uint32(k))
+		g.adj[u] = append(g.adj[u], v)
+		g.adj[v] = append(g.adj[v], u)
 	}
 	return g
 }

@@ -3,9 +3,16 @@ package graph
 import "testing"
 
 func BenchmarkRandomRegular(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		RandomRegular(1024, 8, int64(i))
+	for _, c := range []struct {
+		name string
+		n, d int
+	}{{"n=1024/d=8", 1024, 8}, {"n=1024/d=128", 1024, 128}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				RandomRegular(c.n, c.d, int64(i))
+			}
+		})
 	}
 }
 
