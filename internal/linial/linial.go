@@ -55,6 +55,10 @@ func DefectiveSchedule(m, beta, d int) Schedule {
 // Rounds returns the number of communication rounds the schedule needs.
 func (s Schedule) Rounds() int { return len(s.Steps) }
 
+// maxRootTable bounds a step's root table at what its int32 offsets can
+// address. Schedules built from realistic color spaces stay far below it.
+const maxRootTable = 1<<31 - 1
+
 // reduceAlg executes a Schedule: one broadcast round per step. Defects from
 // defective steps accumulate; the realized coloring after the last step is
 // (Σ budgets)-defective w.r.t. out-neighbors.
@@ -64,7 +68,8 @@ type reduceAlg struct {
 	class    []int // when non-nil, only same-class neighbors are opponents
 	colors   []int
 	next     []int
-	m        int // current color bound
+	table    *rootTable // the current step's root table
+	m        int        // current color bound
 	step     int
 	started  bool
 	finished bool
@@ -72,7 +77,8 @@ type reduceAlg struct {
 
 func newReduceAlg(o *graph.Oriented, init []int, m int, sched Schedule) *reduceAlg {
 	colors := append([]int(nil), init...)
-	return &reduceAlg{o: o, sched: sched, colors: colors, next: make([]int, len(init)), m: m}
+	return &reduceAlg{o: o, sched: sched, colors: colors, next: make([]int, len(init)),
+		table: newRootTable(sched.Steps[0]), m: m}
 }
 
 func (a *reduceAlg) Outbox(v int, out *sim.Outbox) {
@@ -80,14 +86,15 @@ func (a *reduceAlg) Outbox(v int, out *sim.Outbox) {
 }
 
 // reduceScratch is the per-callback scratch of one Inbox evaluation: the
-// fast field evaluator plus the collected neighbor colors and the per-point
-// value/collision buffers. Callbacks for different nodes run concurrently,
-// so scratch is pooled, never stored on the algorithm.
+// fast field evaluator holding the node's own digits, one neighbor's
+// digits, the collected neighbor colors and the per-point collision
+// counts. Callbacks for different nodes run concurrently, so scratch is
+// pooled, never stored on the algorithm.
 type reduceScratch struct {
 	gf  gfStep
-	out []int   // out-neighbor colors this round
-	fv  []int32 // own polynomial value per evaluation point
-	cnt []int32 // colliding-neighbor count per evaluation point
+	nb  []uint64 // base-q digits of one neighbor color
+	out []int    // out-neighbor colors this round
+	cnt []int32  // colliding-neighbor count per evaluation point
 }
 
 var reduceScratchPool = sync.Pool{New: func() any { return new(reduceScratch) }}
@@ -104,11 +111,40 @@ func resize32(s []int32, n int) []int32 {
 	return s
 }
 
+// next returns the color a node of color c moves to against the
+// out-neighbor colors out: the first point x with the fewest colliding
+// neighbors, and the node's polynomial value there. Two colors collide at
+// x when their polynomials agree there, which t looks up. Equal colors
+// share the whole polynomial; they carry defect from previous defective
+// steps and do not influence the argmin.
+func (t *rootTable) next(sc *reduceScratch, c int, out []int) int {
+	q := t.sp.q
+	sc.gf.init(t.sp)
+	sc.gf.load(c)
+	if cap(sc.nb) < t.sp.deg+1 {
+		sc.nb = make([]uint64, t.sp.deg+1)
+	}
+	nb := sc.nb[:t.sp.deg+1]
+	cnt := resize32(sc.cnt, q)
+	sc.cnt = cnt
+	for _, cu := range out {
+		if cu == c {
+			continue
+		}
+		sc.gf.split(cu, nb)
+		t.collide(&sc.gf, sc.gf.digits, nb, cnt)
+	}
+	best, bestCnt := -1, int32(^uint32(0)>>1)
+	for x := 0; x < q; x++ {
+		if cnt[x] < bestCnt {
+			best, bestCnt = x, cnt[x]
+		}
+	}
+	return best*q + int(sc.gf.evalAt(uint64(best)))
+}
+
 func (a *reduceAlg) Inbox(v int, in []sim.Received) {
-	sp := a.sched.Steps[a.step]
-	q := sp.q
 	sc := reduceScratchPool.Get().(*reduceScratch)
-	sc.gf.init(sp)
 	// Collect out-neighbor colors (messages arrive from all neighbors). A
 	// payload that is not a clean UintPayload — e.g. corrupted in transit —
 	// is skipped: a missing opponent can only make the argmin pick a point
@@ -126,37 +162,7 @@ func (a *reduceAlg) Inbox(v int, in []sim.Received) {
 			sc.out = append(sc.out, int(pay.Value))
 		}
 	}
-	c := a.colors[v]
-	// Evaluate the node's own polynomial at every point, then sweep each
-	// neighbor polynomial across all points against it. Equal colors share
-	// the whole polynomial and collide everywhere; they carry defect from
-	// previous defective steps and do not influence the argmin.
-	fv := resize32(sc.fv, q)
-	sc.fv = fv
-	cnt := resize32(sc.cnt, q)
-	sc.cnt = cnt
-	sc.gf.load(c)
-	for x := 0; x < q; x++ {
-		fv[x] = int32(sc.gf.evalAt(uint64(x)))
-	}
-	for _, cu := range sc.out {
-		if cu == c {
-			continue
-		}
-		sc.gf.load(cu)
-		for x := 0; x < q; x++ {
-			if int32(sc.gf.evalAt(uint64(x))) == fv[x] {
-				cnt[x]++
-			}
-		}
-	}
-	best, bestCnt := -1, int32(^uint32(0)>>1)
-	for x := 0; x < q; x++ {
-		if cnt[x] < bestCnt {
-			best, bestCnt = x, cnt[x]
-		}
-	}
-	a.next[v] = best*q + int(fv[best])
+	a.next[v] = a.table.next(sc, a.colors[v], sc.out)
 	reduceScratchPool.Put(sc)
 }
 
@@ -165,54 +171,89 @@ func (a *reduceAlg) Done() bool {
 		a.started = true
 		return false
 	}
-	// Commit the step computed in the previous round.
+	// Commit the step computed in the previous round, then build the next
+	// step's table while no Inbox callback runs.
 	copy(a.colors, a.next)
 	sp := a.sched.Steps[a.step]
 	a.m = sp.q * sp.q
 	a.step++
 	if a.step >= len(a.sched.Steps) {
 		a.finished = true
+		a.table = nil
+	} else {
+		a.table = newRootTable(a.sched.Steps[a.step])
 	}
 	return a.finished
 }
 
-// Proper computes a proper coloring with at most (smallest prime > 2β)²
-// colors, starting from the given proper m-coloring (e.g. unique ids), in
-// Schedule.Rounds() = O(log* m) communication rounds.
-func Proper(eng *sim.Engine, o *graph.Oriented, init []int, m int) ([]int, int, sim.Stats, error) {
-	sched := ProperSchedule(m, o.MaxOutDegree())
+// reduce checks a reduction's inputs, then runs sched from init on eng
+// and returns the realized coloring, unvalidated; with no steps it
+// returns a copy of init. class, when non-nil, restricts opponents to
+// same-class neighbors.
+func reduce(eng *sim.Engine, o *graph.Oriented, class, init []int, m int, sched Schedule) ([]int, sim.Stats, error) {
+	n := o.N()
+	if len(init) != n {
+		return nil, sim.Stats{}, fmt.Errorf("linial: initial coloring has %d entries for %d nodes", len(init), n)
+	}
+	for v, c := range init {
+		if c < 0 || c >= m {
+			return nil, sim.Stats{}, fmt.Errorf("linial: node %d initial color %d outside [0,%d)", v, c, m)
+		}
+	}
 	if len(sched.Steps) == 0 {
-		return append([]int(nil), init...), m, sim.Stats{}, nil
+		return append([]int(nil), init...), sim.Stats{}, nil
+	}
+	for _, sp := range sched.Steps {
+		if rootTableEntries(sp, maxRootTable) >= maxRootTable {
+			return nil, sim.Stats{}, fmt.Errorf("linial: step (q=%d, D=%d) for %d colors needs a root table of over %d entries", sp.q, sp.deg, m, maxRootTable)
+		}
 	}
 	alg := newReduceAlg(o, init, m, sched)
+	alg.class = class
 	stats, err := eng.Run(alg, sched.Rounds()+2)
 	if err != nil {
+		return nil, stats, err
+	}
+	return alg.colors, stats, nil
+}
+
+// Proper computes a proper coloring with at most (smallest prime > 2β)²
+// colors, starting from the given proper m-coloring (e.g. unique ids), in
+// Schedule.Rounds() = O(log* m) communication rounds. init must hold one
+// color in [0, m) per node.
+func Proper(eng *sim.Engine, o *graph.Oriented, init []int, m int) ([]int, int, sim.Stats, error) {
+	sched := ProperSchedule(m, o.MaxOutDegree())
+	colors, stats, err := reduce(eng, o, nil, init, m, sched)
+	if err != nil {
 		return nil, 0, stats, err
+	}
+	if len(sched.Steps) == 0 {
+		return colors, m, stats, nil
 	}
 	// Every edge carries an arc, and the arc holder avoids its target's
 	// color, so the output is proper on the whole graph.
-	if err := coloring.CheckProper(o.Graph(), alg.colors, sched.Final); err != nil {
+	if err := coloring.CheckProper(o.Graph(), colors, sched.Final); err != nil {
 		return nil, 0, stats, fmt.Errorf("linial: output invalid: %w", err)
 	}
-	return alg.colors, sched.Final, stats, nil
+	return colors, sched.Final, stats, nil
 }
 
 // Defective computes a d-defective (w.r.t. out-neighbors) coloring with
-// O((β·D/(d+1))²) colors in O(log* m) rounds [Kuh09].
+// O((β·D/(d+1))²) colors in O(log* m) rounds [Kuh09]. init must hold one
+// color in [0, m) per node.
 func Defective(eng *sim.Engine, o *graph.Oriented, init []int, m, d int) ([]int, int, sim.Stats, error) {
 	sched := DefectiveSchedule(m, o.MaxOutDegree(), d)
-	if len(sched.Steps) == 0 {
-		return append([]int(nil), init...), m, sim.Stats{}, nil
-	}
-	alg := newReduceAlg(o, init, m, sched)
-	stats, err := eng.Run(alg, sched.Rounds()+2)
+	colors, stats, err := reduce(eng, o, nil, init, m, sched)
 	if err != nil {
 		return nil, 0, stats, err
 	}
-	if err := coloring.CheckOrientedDefective(o, alg.colors, sched.Final, d); err != nil {
+	if len(sched.Steps) == 0 {
+		return colors, m, stats, nil
+	}
+	if err := coloring.CheckOrientedDefective(o, colors, sched.Final, d); err != nil {
 		return nil, 0, stats, fmt.Errorf("linial: defective output invalid: %w", err)
 	}
-	return alg.colors, sched.Final, stats, nil
+	return colors, sched.Final, stats, nil
 }
 
 // ProperWithin computes a coloring that is proper within every class:
@@ -221,30 +262,32 @@ func Defective(eng *sim.Engine, o *graph.Oriented, init []int, m, d int) ([]int,
 // *same-class* out-degree of every node; the output uses at most (smallest
 // prime > 2β)² colors after O(log* m) rounds. This is the restricted
 // reduction Maus's coloring algorithm runs inside each defect class, where
-// beta = d ≪ Δ keeps the intra-class palette small.
+// beta = d ≪ Δ keeps the intra-class palette small. class and init must
+// hold one entry per node, the colors in [0, m).
 func ProperWithin(eng *sim.Engine, o *graph.Oriented, class, init []int, m, beta int) ([]int, int, sim.Stats, error) {
-	sched := ProperSchedule(m, beta)
-	if len(sched.Steps) == 0 {
-		return append([]int(nil), init...), m, sim.Stats{}, nil
+	if len(class) != o.N() {
+		return nil, 0, sim.Stats{}, fmt.Errorf("linial: class assignment has %d entries for %d nodes", len(class), o.N())
 	}
-	alg := newReduceAlg(o, init, m, sched)
-	alg.class = class
-	stats, err := eng.Run(alg, sched.Rounds()+2)
+	sched := ProperSchedule(m, beta)
+	colors, stats, err := reduce(eng, o, class, init, m, sched)
 	if err != nil {
 		return nil, 0, stats, err
 	}
+	if len(sched.Steps) == 0 {
+		return colors, m, stats, nil
+	}
 	for v := 0; v < o.N(); v++ {
-		c := alg.colors[v]
+		c := colors[v]
 		if c < 0 || c >= sched.Final {
 			return nil, 0, stats, fmt.Errorf("linial: node %d color %d outside [0,%d)", v, c, sched.Final)
 		}
 		for _, u := range o.Out(v) {
-			if class[v] == class[u] && c == alg.colors[u] {
+			if class[v] == class[u] && c == colors[u] {
 				return nil, 0, stats, fmt.Errorf("linial: nodes %d and %d share class %d and color %d", v, u, class[v], c)
 			}
 		}
 	}
-	return alg.colors, sched.Final, stats, nil
+	return colors, sched.Final, stats, nil
 }
 
 // IDs returns the identity initial coloring (unique ids as colors).
