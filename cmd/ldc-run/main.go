@@ -37,19 +37,14 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/chaos"
 	"repro/internal/coloring"
-	"repro/internal/congest"
-	"repro/internal/fk24"
+	"repro/internal/family"
 	"repro/internal/graph"
-	"repro/internal/linial"
-	"repro/internal/maus21"
-	"repro/internal/mis"
 	"repro/internal/obs"
 	"repro/internal/oldc"
-	"repro/internal/seq"
 	"repro/internal/sim"
 )
 
@@ -127,16 +122,17 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		dim     = fs.Int("dim", 6, "dimension for hypercube")
 		radius  = fs.Float64("radius", 0.15, "radius for geometric")
 		seed    = fs.Int64("seed", 1, "generator seed")
-		algo    = fs.String("algo", "delta1", "delta1|linear|slow|luby|degluby|greedy|mis|mis-luby|oldc|fk24|maus21")
-		shards  = fs.Int("shards", 1, "split every simulator engine into this many contiguous vertex shards, one goroutine each; the output is identical for any value (greedy and mis ignore it)")
-		kappa   = fs.Float64("kappa", 5.0, "square-sum slack for -algo oldc/fk24")
+		algo    = fs.String("algo", "delta1", strings.Join(family.Names(nil), "|"))
+		shards  = fs.Int("shards", 1, "split every simulator engine into this many contiguous vertex shards, one goroutine each; the output is identical for any value ("+strings.Join(family.Names(noEngine), " and ")+" ignore it)")
+		kappa   = fs.Float64("kappa", 5.0, "square-sum slack for -algo "+algoList(solvesOLDC))
 		buckets = fs.Int("buckets", 0, "commit buckets for -algo fk24 (0 = default 2β̂+2; m = fully sequential)")
 		kknob   = fs.Int("k", 0, "palette knob for -algo maus21: target O(kΔ) colors (0 = plain Linial)")
-		spec    = fs.String("chaos", "", "fault schedule: a built-in name (see internal/chaos) or a spec like drop:0.1+flip:0.01+crash:3@2; wire faults need -algo oldc or fk24, kill:/killshard: terms need -algo degluby or oldc with -ckpt")
-		repair  = fs.Bool("repair", false, "detect-and-repair solving for -algo oldc (oldc.SolveRobust)")
-		asJSON  = fs.Bool("json", false, "emit the full result as JSON")
+		spec    = fs.String("chaos", "", "fault schedule: a built-in name (see internal/chaos) or a spec like drop:0.1+flip:0.01+crash:3@2; drop, crash and heavy terms need -algo "+
+			algoList(takesDrops)+", flip terms need -algo "+algoList(takesFlips)+", kill:/killshard: terms need -algo "+algoList(resumable)+" with -ckpt")
+		repair = fs.Bool("repair", false, "detect-and-repair solving for -algo "+algoList(repairable))
+		asJSON = fs.Bool("json", false, "emit the full result as JSON")
 
-		ckptPath    = fs.String("ckpt", "", "checkpoint file for -algo degluby or oldc: written at round boundaries, resumed from when it already exists")
+		ckptPath    = fs.String("ckpt", "", "checkpoint file for -algo "+algoList(resumable)+": written at round boundaries, resumed from when it already exists")
 		ckptEvery   = fs.Int("ckpt-every", 1, "checkpoint cadence in rounds for -ckpt")
 		maxRestarts = fs.Int("max-restarts", 5, "restarts allowed after injected kills (-chaos kill:/killshard:) before giving up")
 
@@ -159,6 +155,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 			code = fe.code
 		}
 	}()
+	fam := family.Lookup(*algo)
+	if fam == nil {
+		fatalf(2, "unknown algorithm %q", *algo)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -178,9 +178,8 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	var tracer *obs.JSONL
 	var traceFile *os.File
 	if *tracePath != "" {
-		switch *algo {
-		case "mis", "greedy":
-			fatalf(2, "-trace is not supported for -algo %s (no simulator engine to observe)", *algo)
+		if !fam.Engine {
+			fatalf(2, "-trace needs a simulator engine to observe: use -algo %s", algoList(hasEngine))
 		}
 		w := io.Writer(stdout)
 		if *tracePath != "-" {
@@ -204,231 +203,88 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		plan, err = resolvePlan(*spec, uint64(*seed), g)
 		die(err)
 	}
+	kills := plan != nil && len(plan.Kills) > 0
 	switch {
-	case *repair && *algo != "oldc":
-		fatalf(2, "-repair only applies to -algo oldc")
-	case *spec != "" && *algo != "oldc" && *algo != "degluby" && *algo != "fk24":
-		fatalf(2, "-chaos applies to -algo oldc/fk24 (wire faults) or -algo degluby/oldc (kill schedules); the other algorithms have no hardened decode paths")
-	case plan != nil && len(plan.Kills) > 0 && *algo != "degluby" && *algo != "oldc":
-		fatalf(2, "kill:/killshard: terms need a resumable algorithm: use -algo degluby or oldc with -ckpt")
-	case plan != nil && len(plan.Kills) > 0 && *ckptPath == "":
+	case *repair && !repairable(fam):
+		fatalf(2, "-repair applies to -algo %s", algoList(repairable))
+	case plan != nil && plan.Model != nil && !takesDrops(fam):
+		fatalf(2, "wire faults apply to -algo %s; the other algorithms have no hardened decode paths", algoList(takesDrops))
+	case plan != nil && plan.Corrupting && !takesFlips(fam):
+		fatalf(2, "flip terms apply to -algo %s; the other algorithms cannot decode corrupted payloads", algoList(takesFlips))
+	case kills && !resumable(fam):
+		fatalf(2, "kill:/killshard: terms need a resumable algorithm: use -algo %s with -ckpt", algoList(resumable))
+	case kills && *ckptPath == "":
 		fatalf(2, "kill:/killshard: terms need -ckpt so restarted attempts can resume from a checkpoint")
-	case plan != nil && len(plan.Kills) > 0 && *tracePath == "-":
+	case kills && *tracePath == "-":
 		fatalf(2, "kill schedules need -trace to name a real file (not '-') so replayed rounds can be truncated on resume")
-	case plan != nil && plan.Corrupting && *algo == "degluby":
-		fatalf(2, "flip terms are not supported for -algo degluby (its decoder is not hardened against corrupted payloads)")
-	case *ckptPath != "" && *algo != "degluby" && *algo != "oldc":
-		fatalf(2, "-ckpt applies to -algo degluby or oldc (the algorithms that snapshot their state)")
+	case *ckptPath != "" && !resumable(fam):
+		fatalf(2, "-ckpt applies to -algo %s (the algorithms that snapshot their state)", algoList(resumable))
 	case *ckptPath != "" && *repair:
 		fatalf(2, "-ckpt and -repair are mutually exclusive (the repair pipeline has no snapshotter)")
 	}
 
-	// engineOpts carries the shard count and the observers into every
-	// engine this command creates directly; the congest/arb layers thread
-	// them further down.
-	engineOpts := sim.Options{Shards: *shards, Tracer: tracerOrNil(tracer), Metrics: reg}
-	// traceStats accumulates the stats of exactly the engines the tracer
-	// observed, so the end event reconciles with the round events.
-	var traceStats sim.Stats
-
-	switch *algo {
-	case "delta1":
-		res, err := congest.DeltaPlusOne(g, congest.Config{Shards: *shards, Tracer: tracerOrNil(tracer), Metrics: reg})
-		die(err)
-		fill(&out, res.Stats, res.Phi)
-		traceStats = res.Stats
-		out.Valid = coloring.CheckProper(g, res.Phi, g.MaxDegree()+1) == nil
-	case "linear":
-		phi, stats, err := baseline.LinearDeltaPlusOne(sim.NewEngineWith(g, engineOpts), g)
-		die(err)
-		fill(&out, stats, phi)
-		traceStats = stats
-		out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
-	case "slow":
-		phi, stats, err := baseline.SlowFold(sim.NewEngineWith(g, engineOpts), g)
-		die(err)
-		fill(&out, stats, phi)
-		traceStats = stats
-		out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
-	case "luby":
-		phi, stats, err := baseline.Luby(sim.NewEngineWith(g, engineOpts), g, *seed)
-		die(err)
-		fill(&out, stats, phi)
-		traceStats = stats
-		out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
-	case "degluby":
-		simOpts := engineOpts
-		if plan != nil {
-			simOpts.Faults = plan.Model
-			out.ChaosSpec = *spec
-		}
-		if *ckptPath != "" {
-			phi, stats, restarts, err := superviseDegluby(superviseConfig{
-				g:           g,
-				seed:        *seed,
-				newEngine:   func() *sim.Engine { return sim.NewEngineWith(g, simOpts) },
-				plan:        plan,
-				path:        *ckptPath,
-				every:       *ckptEvery,
-				maxRestarts: *maxRestarts,
-				traceFile:   traceFile,
-				tracer:      tracer,
-				reg:         reg,
-				stderr:      stderr,
-			})
-			die(err)
-			fill(&out, stats, phi)
-			traceStats = stats
-			out.Restarts = restarts
-			out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
-		} else {
-			phi, stats, err := baseline.DegreeLuby(sim.NewEngineWith(g, simOpts), g, *seed)
-			die(err)
-			fill(&out, stats, phi)
-			traceStats = stats
-			out.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
-		}
-		if plan != nil {
-			total := traceStats.TotalFaults()
-			out.Dropped = total.Dropped
-			out.Corrupted = total.Corrupted
-			out.DecodeFaults = total.DecodeFaults
-		}
-	case "greedy":
-		in := coloring.DegreePlusOne(g, 2*g.MaxDegree()+2, *seed)
-		phi, err := seq.Greedy(in)
-		die(err)
-		fill(&out, sim.Stats{}, phi)
-		out.Valid = coloring.CheckProperList(in, phi) == nil
-	case "mis":
-		set, stats, err := mis.Deterministic(g)
-		die(err)
-		out.Rounds = stats.Rounds
-		out.Messages = stats.Messages
-		out.TotalBits = stats.TotalBits
-		out.MaxMsgBits = stats.MaxMessageBits
-		out.Valid = mis.Check(g, set) == nil
-		out.MISSize = countTrue(set)
-		if *asJSON {
-			out.Independent = set
-		}
-	case "mis-luby":
-		set, stats, err := mis.Luby(sim.NewEngineWith(g, engineOpts), g, *seed)
-		die(err)
-		out.Rounds = stats.Rounds
-		out.Messages = stats.Messages
-		out.TotalBits = stats.TotalBits
-		out.MaxMsgBits = stats.MaxMessageBits
-		traceStats = stats
-		out.Valid = mis.Check(g, set) == nil
-		out.MISSize = countTrue(set)
-		if *asJSON {
-			out.Independent = set
-		}
-	case "oldc":
-		o := graph.OrientByID(g)
-		// The Linial substrate runs fault-free and untraced: the chaos
-		// harness and the tracer both target the OLDC phase, so the trace's
-		// end totals reconcile against the solve engines alone.
-		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Shards: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
-		die(err)
-		inst := coloring.SquareSumOrientedRange(o, 4096, *kappa, 1, 3, *seed)
-		in := oldc.Input{O: o, SpaceSize: 4096, Lists: inst.Lists, InitColors: init, M: m}
-		simOpts := engineOpts
-		if plan != nil {
-			simOpts.Faults = plan.Model
-			out.ChaosSpec = *spec
-		}
-		var runStats sim.Stats
-		if *ckptPath != "" {
-			phi, stats, restarts, err := superviseOldc(superviseConfig{
-				g:           g,
-				seed:        *seed,
-				newEngine:   func() *sim.Engine { return sim.NewEngineWith(g, simOpts) },
-				plan:        plan,
-				path:        *ckptPath,
-				every:       *ckptEvery,
-				maxRestarts: *maxRestarts,
-				traceFile:   traceFile,
-				tracer:      tracer,
-				reg:         reg,
-				stderr:      stderr,
-			}, in, oldc.Options{SkipValidate: *spec != ""})
-			die(err)
-			fill(&out, stats, phi)
-			runStats = stats
-			out.Restarts = restarts
-			out.Valid = coloring.CheckOLDC(o, in.Lists, phi) == nil
-		} else if *repair {
-			eng := sim.NewEngineWith(g, simOpts)
-			phi, rep, err := oldc.SolveRobust(eng, in, oldc.RobustOptions{})
-			var res *oldc.ErrResidual
-			if err != nil && !errors.As(err, &res) {
-				die(err)
-			}
-			fill(&out, rep.Stats, phi)
-			runStats = rep.Stats
-			out.Valid = err == nil
-			sr := rep.SurvivalRate
-			out.SurvivalRate = &sr
-			out.InitialBad = rep.InitialBad
-			out.Repairs = rep.Repairs
-			out.RepairRounds = rep.RepairRounds
-			out.Fallback = rep.FallbackNodes
-			if res != nil {
-				out.ResidualBad = res.Violators
-			}
-		} else {
-			eng := sim.NewEngineWith(g, simOpts)
-			solveOpts := oldc.Options{SkipValidate: *spec != ""} // a faulty run may legitimately violate
-			phi, stats, err := oldc.Solve(eng, in, solveOpts)
-			die(err)
-			fill(&out, stats, phi)
-			runStats = stats
-			out.Valid = coloring.CheckOLDC(o, in.Lists, phi) == nil
-		}
-		traceStats = runStats
-		total := runStats.TotalFaults()
-		out.Dropped = total.Dropped
-		out.Corrupted = total.Corrupted
-		out.DecodeFaults = total.DecodeFaults
-		out.KappaUsed = *kappa
-	case "fk24":
-		o := graph.OrientByID(g)
-		// Same fault-free, untraced Linial substrate as -algo oldc: the
-		// chaos harness and the tracer target the committing phase only.
-		init, m, _, err := linial.Proper(sim.NewEngineWith(g, sim.Options{Shards: *shards}), graph.OrientSymmetric(g), linial.IDs(g.N()), g.N())
-		die(err)
-		inst := coloring.SquareSumOrientedRange(o, 4096, *kappa, 1, 3, *seed)
-		in := fk24.Input{O: o, SpaceSize: 4096, Lists: inst.Lists, InitColors: init, M: m}
-		simOpts := engineOpts
-		if plan != nil {
-			simOpts.Faults = plan.Model
-			out.ChaosSpec = *spec
-		}
-		phi, stats, err := fk24.Solve(sim.NewEngineWith(g, simOpts), in,
-			fk24.Options{Buckets: *buckets, SkipValidate: *spec != ""})
-		die(err)
-		fill(&out, stats, phi)
-		traceStats = stats
-		out.Valid = coloring.CheckOLDC(o, in.Lists, phi) == nil
-		total := stats.TotalFaults()
-		out.Dropped = total.Dropped
-		out.Corrupted = total.Corrupted
-		out.DecodeFaults = total.DecodeFaults
-		out.KappaUsed = *kappa
-	case "maus21":
-		phi, colors, stats, err := maus21.Solve(sim.NewEngineWith(g, engineOpts), g, maus21.Options{K: *kknob})
-		die(err)
-		fill(&out, stats, phi)
-		traceStats = stats
-		out.Valid = coloring.CheckProper(g, phi, colors) == nil
-	default:
-		fatalf(2, "unknown algorithm %q", *algo)
+	r := &family.Run{G: g, Seed: *seed, Kappa: *kappa, Buckets: *buckets, K: *kknob,
+		Engine: sim.Options{Shards: *shards, Tracer: tracerOrNil(tracer), Metrics: reg}}
+	if plan != nil {
+		r.Engine.Faults = plan.Model
+		out.ChaosSpec = *spec
 	}
+	if fam.Problem == family.OLDC {
+		in, err := family.BootstrapInput(r)
+		die(err)
+		r.In = in
+		out.KappaUsed = *kappa
+	}
+	var (
+		res family.Output
+		err error
+	)
+	switch {
+	case *ckptPath != "":
+		res, out.Restarts, _, err = fam.Supervise(r, chaos.SuperviseOptions{
+			MaxRestarts: *maxRestarts,
+			BaseBackoff: 10 * time.Millisecond,
+			MaxBackoff:  500 * time.Millisecond,
+			OnRestart: func(restart int, cause *chaos.KillError, backoff time.Duration) {
+				fmt.Fprintf(stderr, "ldc-run: %v; restart %d after %v\n", cause, restart, backoff)
+			},
+		}, chaos.Checkpointed{Path: *ckptPath, Every: *ckptEvery, Plan: plan, Trace: traceFile, Tracer: tracer, Metrics: reg, Log: stderr})
+	case *repair:
+		var rep oldc.RobustReport
+		res, rep, err = fam.Repair(r)
+		var resid *oldc.ErrResidual
+		if errors.As(err, &resid) {
+			out.ResidualBad = resid.Violators
+			err = nil
+		}
+		out.SurvivalRate = &rep.SurvivalRate
+		out.InitialBad = rep.InitialBad
+		out.Repairs = rep.Repairs
+		out.RepairRounds = rep.RepairRounds
+		out.Fallback = rep.FallbackNodes
+	default:
+		res, err = fam.Solve(r)
+	}
+	die(err)
+	out.Rounds = res.Stats.Rounds
+	out.Messages = res.Stats.Messages
+	out.TotalBits = res.Stats.TotalBits
+	out.MaxMsgBits = res.Stats.MaxMessageBits
+	if fam.Problem == family.MIS {
+		out.MISSize = countTrue(res.Set)
+		out.Independent = res.Set
+	} else {
+		out.ColorsUsed = coloring.CountColors(res.Phi)
+		out.Coloring = res.Phi
+	}
+	out.Valid = fam.Check(r, res) == nil
+	total := res.Stats.TotalFaults()
+	out.Dropped = total.Dropped
+	out.Corrupted = total.Corrupted
+	out.DecodeFaults = total.DecodeFaults
 
 	if tracer != nil {
-		tracer.End(traceStats.TraceTotals())
+		tracer.End(res.Stats.TraceTotals())
 		die(tracer.Flush())
 	}
 
@@ -489,6 +345,21 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		die(http.ListenAndServe(*metricsAddr, nil))
 	}
 	return 0
+}
+
+// The capability tests the flag gates and their help text read from the
+// family table.
+func takesDrops(f *family.Family) bool { return f.Faults >= family.DropsOnly }
+func takesFlips(f *family.Family) bool { return f.Faults >= family.Corrupting }
+func resumable(f *family.Family) bool  { return f.Resumable != nil }
+func repairable(f *family.Family) bool { return f.Repair != nil }
+func hasEngine(f *family.Family) bool  { return f.Engine }
+func noEngine(f *family.Family) bool   { return !f.Engine }
+func solvesOLDC(f *family.Family) bool { return f.Problem == family.OLDC }
+
+// algoList names the -algo values whose family keep accepts.
+func algoList(keep func(*family.Family) bool) string {
+	return strings.Join(family.Names(keep), "/")
 }
 
 // tracerOrNil converts a possibly-nil *obs.JSONL into an obs.Tracer that is
@@ -554,15 +425,6 @@ func buildGraph(name string, n, deg int, p float64, rows, cols, dim int, radius 
 		fatalf(2, "unknown graph family %q", name)
 		return nil
 	}
-}
-
-func fill(out *output, stats sim.Stats, phi coloring.Assignment) {
-	out.Rounds = stats.Rounds
-	out.Messages = stats.Messages
-	out.TotalBits = stats.TotalBits
-	out.MaxMsgBits = stats.MaxMessageBits
-	out.ColorsUsed = coloring.CountColors(phi)
-	out.Coloring = phi
 }
 
 func countTrue(set []bool) int {

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/family"
 )
 
 // runJSON executes run() with -json plus args and decodes the report.
@@ -25,47 +27,71 @@ func runJSON(t *testing.T, args ...string) (output, int) {
 
 var deglubyArgs = []string{"-graph", "regular", "-n", "96", "-deg", "6", "-algo", "degluby"}
 
-// TestKillResumeMatchesUninterrupted pins the supervisor's core contract:
-// a run killed mid-flight and resumed from its checkpoint produces the
-// same coloring, rounds, and message totals as a run that was never
-// interrupted — including the JSONL trace, byte for byte.
-func TestKillResumeMatchesUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	baseTrace := filepath.Join(dir, "base.jsonl")
-	base, code := runJSON(t, append(deglubyArgs, "-trace", baseTrace)...)
-	if code != 0 {
-		t.Fatalf("baseline run exit %d", code)
-	}
+// resumeArgs is the graph the per-family kill/resume subtests run on.
+var resumeArgs = []string{"-graph", "regular", "-n", "96", "-deg", "6"}
 
-	killTrace := filepath.Join(dir, "kill.jsonl")
-	killed, code := runJSON(t, append(deglubyArgs,
-		"-chaos", "kill:2+kill:4", "-ckpt", filepath.Join(dir, "run.ckpt"), "-trace", killTrace)...)
-	if code != 0 {
-		t.Fatalf("killed run exit %d", code)
+// forEachFamily runs test as one subtest per family that keep accepts,
+// with args selecting that family, and fails if there is none.
+func forEachFamily(t *testing.T, keep func(*family.Family) bool, test func(t *testing.T, args []string)) {
+	t.Helper()
+	names := family.Names(keep)
+	if len(names) == 0 {
+		t.Fatal("no family declares the capability")
 	}
-	if killed.Restarts != 2 {
-		t.Fatalf("restarts = %d, want 2", killed.Restarts)
+	for _, name := range names {
+		args := append(append([]string(nil), resumeArgs...), "-algo", name)
+		t.Run(name, func(t *testing.T) { test(t, args) })
 	}
-	if killed.Rounds != base.Rounds || killed.Messages != base.Messages || killed.TotalBits != base.TotalBits {
-		t.Fatalf("killed run stats diverge: %d/%d/%d vs %d/%d/%d",
-			killed.Rounds, killed.Messages, killed.TotalBits, base.Rounds, base.Messages, base.TotalBits)
-	}
-	for v := range base.Coloring {
-		if killed.Coloring[v] != base.Coloring[v] {
-			t.Fatalf("node %d colored %d after resume, %d uninterrupted", v, killed.Coloring[v], base.Coloring[v])
+}
+
+// TestKillResumeMatchesUninterrupted pins the supervisor's core contract
+// for every resumable family: a run killed mid-flight and resumed from its
+// checkpoint produces the same coloring, rounds, and message totals as a
+// run that was never interrupted — including the JSONL trace, byte for
+// byte (for oldc this covers the re-prepared class-selection phase events,
+// which the supervisor truncates back out of the trace on resume).
+func TestKillResumeMatchesUninterrupted(t *testing.T) {
+	forEachFamily(t, resumable, func(t *testing.T, args []string) {
+		dir := t.TempDir()
+		baseTrace := filepath.Join(dir, "base.jsonl")
+		base, code := runJSON(t, append(args, "-trace", baseTrace)...)
+		if code != 0 {
+			t.Fatalf("baseline run exit %d", code)
 		}
-	}
-	got, err := os.ReadFile(killTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(baseTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("resumed trace is not byte-identical to the uninterrupted trace (%d vs %d bytes)", len(got), len(want))
-	}
+
+		killTrace := filepath.Join(dir, "kill.jsonl")
+		killed, code := runJSON(t, append(args,
+			"-chaos", "kill:2+kill:4", "-ckpt", filepath.Join(dir, "run.ckpt"), "-trace", killTrace)...)
+		if code != 0 {
+			t.Fatalf("killed run exit %d", code)
+		}
+		if killed.Restarts != 2 {
+			t.Fatalf("restarts = %d, want 2", killed.Restarts)
+		}
+		if killed.Rounds != base.Rounds || killed.Messages != base.Messages || killed.TotalBits != base.TotalBits {
+			t.Fatalf("killed run stats diverge: %d/%d/%d vs %d/%d/%d",
+				killed.Rounds, killed.Messages, killed.TotalBits, base.Rounds, base.Messages, base.TotalBits)
+		}
+		if !killed.Valid {
+			t.Fatal("killed run produced an invalid coloring")
+		}
+		for v := range base.Coloring {
+			if killed.Coloring[v] != base.Coloring[v] {
+				t.Fatalf("node %d colored %d after resume, %d uninterrupted", v, killed.Coloring[v], base.Coloring[v])
+			}
+		}
+		got, err := os.ReadFile(killTrace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(baseTrace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("resumed trace is not byte-identical to the uninterrupted trace (%d vs %d bytes)", len(got), len(want))
+		}
+	})
 }
 
 // TestKillShardResumeSharded runs the killshard builtin on the sharded
@@ -91,106 +117,76 @@ func TestKillShardResumeSharded(t *testing.T) {
 	}
 }
 
-// TestCrossProcessResume simulates a real crash: the first invocation has
-// no restart budget, so the kill takes the whole run down (exit 1) with a
-// checkpoint left on disk; a second independent invocation pointed at the
-// same -ckpt resumes it to the baseline coloring.
+// TestCrossProcessResume simulates a real crash for every resumable
+// family: the first invocation has no restart budget, so the kill takes
+// the whole run down (exit 1) with a checkpoint left on disk; a second
+// independent invocation pointed at the same -ckpt resumes it to the
+// baseline coloring and stats.
 func TestCrossProcessResume(t *testing.T) {
-	base, code := runJSON(t, deglubyArgs...)
-	if code != 0 {
-		t.Fatalf("baseline run exit %d", code)
-	}
+	forEachFamily(t, resumable, func(t *testing.T, args []string) {
+		base, code := runJSON(t, args...)
+		if code != 0 {
+			t.Fatalf("baseline run exit %d", code)
+		}
+		ckpt := filepath.Join(t.TempDir(), "crash.ckpt")
+		if _, code := runJSON(t, append(args,
+			"-chaos", "kill:3", "-ckpt", ckpt, "-max-restarts", "0")...); code != 1 {
+			t.Fatalf("unsupervised kill exit %d, want 1", code)
+		}
+		resumed, code := runJSON(t, append(args, "-ckpt", ckpt)...)
+		if code != 0 {
+			t.Fatalf("resume run exit %d", code)
+		}
+		if resumed.Rounds != base.Rounds || resumed.Messages != base.Messages {
+			t.Fatalf("resumed stats diverge: %d/%d vs %d/%d",
+				resumed.Rounds, resumed.Messages, base.Rounds, base.Messages)
+		}
+		for v := range base.Coloring {
+			if resumed.Coloring[v] != base.Coloring[v] {
+				t.Fatalf("node %d colored %d after cross-process resume, %d baseline", v, resumed.Coloring[v], base.Coloring[v])
+			}
+		}
+	})
+}
+
+// TestCheckpointRefusesOtherRun pins that a checkpoint only resumes the
+// run it was written by: a killed degluby image offered to a run with
+// another seed, or to another algorithm, fails before anything is
+// restored, with an error naming both run keys.
+func TestCheckpointRefusesOtherRun(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "crash.ckpt")
-	if _, code := runJSON(t, append(deglubyArgs,
-		"-chaos", "kill:3", "-ckpt", ckpt, "-max-restarts", "0")...); code != 1 {
+	if _, code := runJSON(t, append(deglubyArgs, "-chaos", "kill:3", "-ckpt", ckpt, "-max-restarts", "0")...); code != 1 {
 		t.Fatalf("unsupervised kill exit %d, want 1", code)
 	}
-	resumed, code := runJSON(t, append(deglubyArgs, "-ckpt", ckpt)...)
-	if code != 0 {
-		t.Fatalf("resume run exit %d", code)
-	}
-	for v := range base.Coloring {
-		if resumed.Coloring[v] != base.Coloring[v] {
-			t.Fatalf("node %d colored %d after cross-process resume, %d baseline", v, resumed.Coloring[v], base.Coloring[v])
+	for _, other := range [][]string{
+		append(deglubyArgs, "-seed", "2"),
+		{"-graph", "regular", "-n", "96", "-deg", "6", "-algo", "oldc"},
+	} {
+		var stderr strings.Builder
+		code := run(append(other, "-ckpt", ckpt), io.Discard, &stderr)
+		if code != 1 {
+			t.Fatalf("run(%v) on a foreign checkpoint = %d, want 1", other, code)
+		}
+		msg := stderr.String()
+		if !strings.Contains(msg, `"degluby/graph=`) || !strings.Contains(msg, "/seed=1/") ||
+			!strings.Contains(msg, "belongs to run") {
+			t.Fatalf("run(%v) error does not name both run keys:\n%s", other, msg)
 		}
 	}
 }
 
-var oldcArgs = []string{"-graph", "regular", "-n", "96", "-deg", "8", "-algo", "oldc"}
-
-// TestOldcKillResumeMatchesUninterrupted is the oldc counterpart of
-// TestKillResumeMatchesUninterrupted: the two-phase solve killed
-// mid-flight and resumed from its checkpoint must reproduce the
-// uninterrupted run exactly — coloring, stats ledger, and the JSONL trace
-// byte for byte (including the re-prepared class-selection phase events,
-// which the supervisor truncates back out of the trace on resume).
-func TestOldcKillResumeMatchesUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	baseTrace := filepath.Join(dir, "base.jsonl")
-	base, code := runJSON(t, append(oldcArgs, "-trace", baseTrace)...)
-	if code != 0 {
-		t.Fatalf("baseline run exit %d", code)
-	}
-
-	killTrace := filepath.Join(dir, "kill.jsonl")
-	killed, code := runJSON(t, append(oldcArgs,
-		"-chaos", "kill:2+kill:4", "-ckpt", filepath.Join(dir, "run.ckpt"), "-trace", killTrace)...)
-	if code != 0 {
-		t.Fatalf("killed run exit %d", code)
-	}
-	if killed.Restarts != 2 {
-		t.Fatalf("restarts = %d, want 2", killed.Restarts)
-	}
-	if killed.Rounds != base.Rounds || killed.Messages != base.Messages || killed.TotalBits != base.TotalBits {
-		t.Fatalf("killed run stats diverge: %d/%d/%d vs %d/%d/%d",
-			killed.Rounds, killed.Messages, killed.TotalBits, base.Rounds, base.Messages, base.TotalBits)
-	}
-	if !killed.Valid {
-		t.Fatal("killed run produced an invalid coloring")
-	}
-	for v := range base.Coloring {
-		if killed.Coloring[v] != base.Coloring[v] {
-			t.Fatalf("node %d colored %d after resume, %d uninterrupted", v, killed.Coloring[v], base.Coloring[v])
+// TestCorruptingSchedules runs every family that declares corrupting
+// wire faults under the built-in flip-1pct and storm schedules: each run
+// must end valid or invalid (exit 0 or 1), never as a usage error or a
+// panic.
+func TestCorruptingSchedules(t *testing.T) {
+	forEachFamily(t, takesFlips, func(t *testing.T, args []string) {
+		for _, sched := range []string{"flip-1pct", "storm"} {
+			if code := run(append(args, "-chaos", sched), io.Discard, io.Discard); code != 0 && code != 1 {
+				t.Fatalf("-chaos %s exit %d, want 0 or 1", sched, code)
+			}
 		}
-	}
-	got, err := os.ReadFile(killTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := os.ReadFile(baseTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("resumed trace is not byte-identical to the uninterrupted trace (%d vs %d bytes)", len(got), len(want))
-	}
-}
-
-// TestOldcCrossProcessResume kills an oldc run with no restart budget and
-// resumes it in a second independent invocation pointed at the same -ckpt.
-func TestOldcCrossProcessResume(t *testing.T) {
-	base, code := runJSON(t, oldcArgs...)
-	if code != 0 {
-		t.Fatalf("baseline run exit %d", code)
-	}
-	ckpt := filepath.Join(t.TempDir(), "crash.ckpt")
-	if _, code := runJSON(t, append(oldcArgs,
-		"-chaos", "kill:3", "-ckpt", ckpt, "-max-restarts", "0")...); code != 1 {
-		t.Fatalf("unsupervised kill exit %d, want 1", code)
-	}
-	resumed, code := runJSON(t, append(oldcArgs, "-ckpt", ckpt)...)
-	if code != 0 {
-		t.Fatalf("resume run exit %d", code)
-	}
-	if resumed.Rounds != base.Rounds || resumed.Messages != base.Messages {
-		t.Fatalf("resumed stats diverge: %d/%d vs %d/%d",
-			resumed.Rounds, resumed.Messages, base.Rounds, base.Messages)
-	}
-	for v := range base.Coloring {
-		if resumed.Coloring[v] != base.Coloring[v] {
-			t.Fatalf("node %d colored %d after cross-process resume, %d baseline", v, resumed.Coloring[v], base.Coloring[v])
-		}
-	}
+	})
 }
 
 // TestSuperviseUsageErrors pins the exit-2 contract for the flag

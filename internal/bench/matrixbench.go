@@ -3,19 +3,16 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/coloring"
-	"repro/internal/congest"
-	"repro/internal/fk24"
+	"repro/internal/family"
 	"repro/internal/graph"
-	"repro/internal/maus21"
 	"repro/internal/oldc"
-	"repro/internal/sim"
 )
 
 // MatrixRow is one (family, knob, Δ) cell of the who-wins matrix: a single
@@ -86,12 +83,12 @@ func matrixCases(quick bool) []matrixCase {
 // verifyDoc is the ldc-verify input document a matrix row can emit, so CI
 // can re-validate every committed row with the standalone checker.
 type verifyDoc struct {
-	N        int            `json:"n"`
-	Edges    [][2]int       `json:"edges"`
-	Space    int            `json:"space"`
-	Lists    []verifyList   `json:"lists,omitempty"`
-	Coloring []int          `json:"coloring"`
-	Variant  string         `json:"variant"`
+	N        int          `json:"n"`
+	Edges    [][2]int     `json:"edges"`
+	Space    int          `json:"space"`
+	Lists    []verifyList `json:"lists,omitempty"`
+	Coloring []int        `json:"coloring"`
+	Variant  string       `json:"variant"`
 }
 
 type verifyList struct {
@@ -99,15 +96,13 @@ type verifyList struct {
 	Defects []int `json:"defects"`
 }
 
-// matrixSolve is one family variant: it solves its problem on (g, case)
-// and reports stats, the palette bound for proper colorings, and a
-// validation error. Solvers that consume the shared OLDC instance receive
-// it; proper-coloring families ignore it.
-type matrixSolve struct {
+// matrixEntry is one family variant of the matrix: a family from the
+// family table and the knob values it runs with.
+type matrixEntry struct {
 	family  string
 	knob    string
-	problem string // "oldc" | "proper"
-	run     func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error)
+	buckets int
+	k       int
 }
 
 // matrixFamilies enumerates the contenders: the Theorem 1.1 OLDC solver,
@@ -115,39 +110,14 @@ type matrixSolve struct {
 // 2021 O(kΔ) trade-off at two knob values, the full Theorem 1.4 CONGEST
 // stack (which runs Theorem 1.3's driver over Theorem 1.1 internally), and
 // the degree-sequential Luby baseline.
-func matrixFamilies() []matrixSolve {
-	return []matrixSolve{
-		{"oldc", "", "oldc", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			phi, st, err := oldc.Solve(sim.NewEngine(g), in, oldc.Options{})
-			return phi, st, 0, err
-		}},
-		{"fk24", "buckets=default", "oldc", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			fin := fk24.Input{O: in.O, SpaceSize: in.SpaceSize, Lists: in.Lists, InitColors: in.InitColors, M: in.M}
-			phi, st, err := fk24.Solve(sim.NewEngine(g), fin, fk24.Options{})
-			return phi, st, 0, err
-		}},
-		{"fk24", "buckets=m", "oldc", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			fin := fk24.Input{O: in.O, SpaceSize: in.SpaceSize, Lists: in.Lists, InitColors: in.InitColors, M: in.M}
-			phi, st, err := fk24.Solve(sim.NewEngine(g), fin, fk24.Options{Buckets: fin.M})
-			return phi, st, 0, err
-		}},
-		{"maus21", "k=2", "proper", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			phi, colors, st, err := maus21.Solve(sim.NewEngine(g), g, maus21.Options{K: 2})
-			return phi, st, colors, err
-		}},
-		{"maus21", "k=4", "proper", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			phi, colors, st, err := maus21.Solve(sim.NewEngine(g), g, maus21.Options{K: 4})
-			return phi, st, colors, err
-		}},
-		{"delta1", "", "proper", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			res, err := congest.DeltaPlusOne(g, congest.Config{})
-			return res.Phi, res.Stats, g.MaxDegree() + 1, err
-		}},
-		{"degluby", "", "proper", func(g *graph.Graph, c matrixCase, in oldc.Input) (coloring.Assignment, sim.Stats, int, error) {
-			phi, st, err := baseline.DegreeLuby(sim.NewEngine(g), g, 1)
-			return phi, st, g.MaxDegree() + 1, err
-		}},
-	}
+var matrixFamilies = []matrixEntry{
+	{family: "oldc"},
+	{family: "fk24", knob: "buckets=default"},
+	{family: "fk24", knob: "buckets=m", buckets: math.MaxInt}, // clamped to m: fully sequential
+	{family: "maus21", knob: "k=2", k: 2},
+	{family: "maus21", knob: "k=4", k: 4},
+	{family: "delta1"},
+	{family: "degluby"},
 }
 
 // matrixIters is how many times each cell is solved; the reported
@@ -189,50 +159,44 @@ func RunMatrixBench(quick bool, docsDir string) (MatrixReport, error) {
 		inst := coloring.SquareSumOriented(o, c.space, c.kappa, 3, 7)
 		in := oldc.Input{O: o, SpaceSize: c.space, Lists: inst.Lists, InitColors: init, M: c.n}
 
-		for _, fam := range matrixFamilies() {
+		for _, e := range matrixFamilies {
+			fam := family.Lookup(e.family)
+			r := &family.Run{G: g, In: in, Seed: 1, Kappa: c.kappa, Buckets: e.buckets, K: e.k}
 			var (
-				phi    coloring.Assignment
-				stats  sim.Stats
-				bound  int
-				best   time.Duration
+				res  family.Output
+				best time.Duration
 			)
 			for it := 0; it < iters; it++ {
 				start := time.Now()
-				p, st, b, err := fam.run(g, c, in)
+				o, err := fam.Solve(r)
 				el := time.Since(start)
 				if err != nil {
-					return rep, fmt.Errorf("matrix: %s/%s Δ=%d: %w", fam.family, fam.knob, c.delta, err)
+					return rep, fmt.Errorf("matrix: %s/%s Δ=%d: %w", e.family, e.knob, c.delta, err)
 				}
 				if it == 0 || el < best {
 					best = el
 				}
-				phi, stats, bound = p, st, b
+				res = o
 			}
 			row := MatrixRow{
-				Family:     fam.family,
-				Knob:       fam.knob,
-				Problem:    fam.problem,
+				Family:     e.family,
+				Knob:       e.knob,
+				Problem:    string(fam.Problem),
 				N:          c.n,
 				Delta:      c.delta,
-				Rounds:     stats.Rounds,
-				Messages:   stats.Messages,
-				TotalBits:  stats.TotalBits,
-				MaxMsgBits: stats.MaxMessageBits,
+				Rounds:     res.Stats.Rounds,
+				Messages:   res.Stats.Messages,
+				TotalBits:  res.Stats.TotalBits,
+				MaxMsgBits: res.Stats.MaxMessageBits,
+				Colors:     coloring.CountColors(res.Phi),
 				NsPerSolve: float64(best.Nanoseconds()),
-			}
-			switch fam.problem {
-			case "oldc":
-				row.Colors = coloring.CountColors(phi)
-				row.Valid = coloring.CheckOLDC(o, in.Lists, phi) == nil
-			case "proper":
-				row.Colors = coloring.CountColors(phi)
-				row.Valid = coloring.CheckProper(g, phi, bound) == nil
+				Valid:      fam.Check(r, res) == nil,
 			}
 			if !row.Valid {
-				return rep, fmt.Errorf("matrix: %s/%s Δ=%d produced an invalid coloring", fam.family, fam.knob, c.delta)
+				return rep, fmt.Errorf("matrix: %s/%s Δ=%d produced an invalid coloring", e.family, e.knob, c.delta)
 			}
 			if docsDir != "" {
-				name, err := writeMatrixDoc(docsDir, g, c, in, fam, phi, bound)
+				name, err := writeMatrixDoc(docsDir, g, c, in, e, fam.Problem, res)
 				if err != nil {
 					return rep, err
 				}
@@ -246,26 +210,26 @@ func RunMatrixBench(quick bool, docsDir string) (MatrixReport, error) {
 
 // writeMatrixDoc emits one row's ldc-verify document and returns its file
 // name (relative to docsDir).
-func writeMatrixDoc(dir string, g *graph.Graph, c matrixCase, in oldc.Input, fam matrixSolve, phi coloring.Assignment, bound int) (string, error) {
-	d := verifyDoc{N: g.N(), Coloring: phi}
+func writeMatrixDoc(dir string, g *graph.Graph, c matrixCase, in oldc.Input, e matrixEntry, problem family.Problem, res family.Output) (string, error) {
+	d := verifyDoc{N: g.N(), Coloring: res.Phi}
 	g.ForEachEdge(func(u, v int) { d.Edges = append(d.Edges, [2]int{u, v}) })
-	switch fam.problem {
-	case "oldc":
+	switch problem {
+	case family.OLDC:
 		d.Space = in.SpaceSize
 		d.Variant = "oldc-by-id"
 		d.Lists = make([]verifyList, len(in.Lists))
 		for v, l := range in.Lists {
 			d.Lists[v] = verifyList{Colors: l.Colors, Defects: l.Defect}
 		}
-	case "proper":
-		d.Space = bound
+	case family.Proper:
+		d.Space = res.Palette
 		d.Variant = "proper"
 	}
-	knob := fam.knob
+	knob := e.knob
 	if knob == "" {
 		knob = "base"
 	}
-	name := fmt.Sprintf("row-%s-%s-d%d.json", fam.family, sanitizeKnob(knob), c.delta)
+	name := fmt.Sprintf("row-%s-%s-d%d.json", e.family, sanitizeKnob(knob), c.delta)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}

@@ -9,9 +9,8 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/baseline"
 	"repro/internal/chaos"
-	"repro/internal/coloring"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -84,68 +83,38 @@ func (rep RecoverBenchReport) WriteJSON(path string) error { return writeBenchJS
 // count.
 func runKillPlan(g *graph.Graph, delta int, seed int64, np chaos.NamedPlan, ckptPath string) (KillRecoveryEntry, error) {
 	e := KillRecoveryEntry{Plan: np.Name, Spec: np.Spec, N: g.N(), Delta: delta}
-	maxRounds := baseline.DegreeLubyMaxRounds(g.N())
 	shards := 1
 	for _, k := range np.Plan.Kills {
 		if k.Shard >= 0 {
 			shards = 4
 		}
 	}
-	ckp := &sim.Checkpointer{Path: ckptPath, Every: 1}
-	killHook := np.Plan.KillHook()
-	var (
-		phi        coloring.Assignment
-		stats      sim.Stats
-		restoreDur time.Duration
-	)
+	fam := family.Lookup("degluby")
+	r := &family.Run{G: g, Seed: seed, Engine: sim.Options{Shards: shards, Faults: np.Plan.Model}}
 	start := time.Now()
-	err := chaos.Supervise(chaos.SuperviseOptions{
+	res, restarts, restore, err := fam.Supervise(r, chaos.SuperviseOptions{
 		MaxRestarts: 2 * len(np.Plan.Kills),
 		Sleep:       func(time.Duration) {}, // latency figures exclude backoff
-	}, func(attempt int) error {
-		alg := baseline.NewDegreeLuby(g, seed)
-		eng := sim.NewEngineWith(g, sim.Options{Shards: shards, Faults: np.Plan.Model})
-		eng.SetAfterRound(sim.ChainHooks(ckp.Hook(alg), killHook))
-		startRound, prior := 0, sim.Stats{}
-		if attempt > 0 {
-			t0 := time.Now()
-			ck, err := sim.ReadCheckpoint(ckptPath)
-			if err != nil {
-				return err
-			}
-			if err := ck.Restore(alg); err != nil {
-				return err
-			}
-			restoreDur += time.Since(t0)
-			e.Restarts = attempt
-			startRound, prior = ck.Round, ck.Stats
-		}
-		s, err := eng.RunFrom(alg, startRound, maxRounds, prior)
-		if err != nil {
-			return err
-		}
-		stats, phi = s, alg.Colors()
-		return nil
-	})
+	}, chaos.Checkpointed{Path: ckptPath, Every: 1, Plan: np.Plan})
 	if err != nil {
 		return e, fmt.Errorf("bench: recover plan %s: %w", np.Name, err)
 	}
 	e.TotalMs = float64(time.Since(start).Microseconds()) / 1e3
-	e.RestoreMs = float64(restoreDur.Microseconds()) / 1e3
-	e.Rounds = stats.Rounds
+	e.RestoreMs = float64(restore.Microseconds()) / 1e3
+	e.Restarts = restarts
+	e.Rounds = res.Stats.Rounds
 	if img, err := os.ReadFile(ckptPath); err == nil {
 		e.CkptBytes = len(img)
 	}
-	e.Valid = coloring.CheckProper(g, phi, g.MaxDegree()+1) == nil
+	e.Valid = fam.Check(r, res) == nil
 
 	// Uninterrupted reference under the same wire-fault model (no kills):
 	// the supervised run must land on the identical coloring.
-	refAlg := baseline.NewDegreeLuby(g, seed)
-	refEng := sim.NewEngineWith(g, sim.Options{Faults: np.Plan.Model})
-	if _, err := refEng.Run(refAlg, maxRounds); err != nil {
+	ref, err := fam.Solve(&family.Run{G: g, Seed: seed, Engine: sim.Options{Faults: np.Plan.Model}})
+	if err != nil {
 		return e, fmt.Errorf("bench: recover plan %s reference: %w", np.Name, err)
 	}
-	e.Identical = reflect.DeepEqual(phi, refAlg.Colors())
+	e.Identical = reflect.DeepEqual(res.Phi, ref.Phi)
 	return e, nil
 }
 

@@ -1,6 +1,6 @@
 // Package ckpt provides the shared binary framing used by every
 // crash-recovery image in the repo: engine round checkpoints
-// (internal/sim, "ldc-ckpt/v1"), service state snapshots (internal/serve,
+// (internal/sim, "ldc-ckpt/v2"), service state snapshots (internal/serve,
 // "ldc-snap/v1"), and the record payloads of the mutation WAL.
 //
 // An image is a magic string, a sequence of sections (unsigned varints,

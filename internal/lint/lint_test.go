@@ -20,6 +20,7 @@ var docCheckedPackages = []string{
 	"../oldc",
 	"../fk24",
 	"../maus21",
+	"../family",
 	"../obs",
 	"../serve",
 	"../shard",

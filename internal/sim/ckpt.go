@@ -11,7 +11,7 @@ import (
 // CheckpointMagic tags the engine round-checkpoint image format. The
 // format is documented in docs/RECOVERY.md; bump the suffix on any
 // incompatible layout change.
-const CheckpointMagic = "ldc-ckpt/v1"
+const CheckpointMagic = "ldc-ckpt/v2"
 
 // Snapshotter is an Algorithm whose complete inter-round state can be
 // serialized and restored, which is what makes a run resumable from a
@@ -68,9 +68,14 @@ func ChainHooks(hooks ...RoundHook) RoundHook {
 	}
 }
 
-// Checkpoint is one ldc-ckpt/v1 image: everything needed to continue a
+// Checkpoint is one ldc-ckpt/v2 image: everything needed to continue a
 // run from a round boundary bit-identically to never having stopped.
 type Checkpoint struct {
+	// Key names the run the image belongs to (algorithm, graph, seed and
+	// knobs). A supervisor refuses to resume a run under another key,
+	// since restoring a foreign state blob can decode cleanly and still
+	// continue a different run.
+	Key string
 	// Round is the number of rounds fully executed; RunFrom resumes here.
 	Round int
 	// TraceOffset is the byte length of the JSONL trace at the boundary,
@@ -142,9 +147,10 @@ func DecodeStats(d *ckpt.Decoder) (Stats, error) {
 	return s, nil
 }
 
-// Encode seals the checkpoint into a framed ldc-ckpt/v1 image.
+// Encode seals the checkpoint into a framed ldc-ckpt/v2 image.
 func (c *Checkpoint) Encode() []byte {
 	e := ckpt.NewEncoder(CheckpointMagic)
+	e.Bytes([]byte(c.Key))
 	e.Int(c.Round)
 	e.Int64(c.TraceOffset)
 	EncodeStats(e, &c.Stats)
@@ -152,7 +158,7 @@ func (c *Checkpoint) Encode() []byte {
 	return e.Finish()
 }
 
-// DecodeCheckpoint parses and validates a framed ldc-ckpt/v1 image. All
+// DecodeCheckpoint parses and validates a framed ldc-ckpt/v2 image. All
 // failures are typed *ckpt.CorruptError; arbitrary bytes never panic
 // (pinned by FuzzCheckpointDecode).
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
@@ -161,6 +167,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	c := &Checkpoint{}
+	c.Key = string(d.Bytes())
 	c.Round = d.Int()
 	c.TraceOffset = d.Int64()
 	c.Stats, err = DecodeStats(d)
@@ -218,6 +225,8 @@ type Checkpointer struct {
 	Path string
 	// Every is the checkpoint cadence in rounds (≤ 0 means every round).
 	Every int
+	// Key is the run key stored in every image (see Checkpoint.Key).
+	Key string
 	// TraceSync, when set, is called before each write to flush the run's
 	// JSONL trace and report its byte length, recorded as TraceOffset.
 	TraceSync func() (int64, error)
@@ -254,7 +263,7 @@ func (c *Checkpointer) Write(round int, alg Snapshotter, stats *Stats) error {
 	}
 	st := ckpt.NewRawEncoder()
 	alg.SnapshotState(st)
-	image := (&Checkpoint{Round: round + 1, TraceOffset: off, Stats: *stats, State: st.Finish()}).Encode()
+	image := (&Checkpoint{Key: c.Key, Round: round + 1, TraceOffset: off, Stats: *stats, State: st.Finish()}).Encode()
 	if err := ckpt.WriteFileAtomic(c.Path, image); err != nil {
 		return fmt.Errorf("sim: checkpoint write: %w", err)
 	}

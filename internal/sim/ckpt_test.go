@@ -37,11 +37,12 @@ func sampleCheckpoint(t testing.TB) []byte {
 	return ck.Encode()
 }
 
-// TestCheckpointRoundTrip pins that the full Checkpoint — round clock,
-// trace offset, Stats including ledger, and state blob — survives
+// TestCheckpointRoundTrip pins that the full Checkpoint — run key, round
+// clock, trace offset, Stats including ledger, and state blob — survives
 // encode/decode.
 func TestCheckpointRoundTrip(t *testing.T) {
 	want := &sim.Checkpoint{
+		Key:         "degluby/graph=0123456789abcdef/seed=1",
 		Round:       7,
 		TraceOffset: 4096,
 		Stats: sim.Stats{
