@@ -38,7 +38,7 @@ func DegreeLuby(eng *sim.Engine, t graph.Topology, seed int64) (coloring.Assignm
 // DegreeLubyMaxRounds is the round budget DegreeLuby allows for an n-node
 // graph — generous over the O(log n) expectation so a run that exceeds it
 // indicates a bug, not bad luck. Exported so checkpoint/resume drivers
-// (cmd/ldc-run) pass the identical budget on every attempt.
+// (internal/family) pass the identical budget on every attempt.
 func DegreeLubyMaxRounds(n int) int { return 64*(intLog2(n)+2) + 64 }
 
 // DegreeLubyAlg is the per-node state of DegreeLuby. Undecided node v
