@@ -6,7 +6,7 @@
 //	ldc-bench                  # run everything at full size
 //	ldc-bench -quick           # smaller sweeps (< a few seconds)
 //	ldc-bench -run E1,E6       # selected experiments
-//	ldc-bench -simbench out.json  # engine microbenchmark → machine-readable JSON
+//	ldc-bench -matrixbench out.json  # who-wins matrix → machine-readable JSON
 package main
 
 import (
@@ -33,16 +33,28 @@ func run() int {
 	quick := flag.Bool("quick", false, "run reduced-size sweeps")
 	runIDs := flag.String("run", "all", "comma-separated experiment ids (E1..E13) or 'all'")
 	asCSV := flag.Bool("csv", false, "emit CSV instead of aligned text")
-	simbench := flag.String("simbench", "", "run the simulator microbenchmark suite and write machine-readable JSON to this path ('-' for stdout), then exit")
-	algbench := flag.String("algbench", "", "run the OLDC algorithm benchmark suite and write machine-readable JSON to this path ('-' for stdout), then exit")
-	chaosbench := flag.String("chaosbench", "", "run detect-and-repair solving under every built-in fault schedule and write machine-readable JSON to this path ('-' for stdout), then exit")
-	servebench := flag.String("servebench", "", "run the incremental recoloring service under sustained churn and write machine-readable JSON to this path ('-' for stdout), then exit")
-	recoverybench := flag.String("recoverybench", "", "run the crash-recovery suite (supervised kill/resume + durable-store WAL replay) and write machine-readable JSON to this path ('-' for stdout), then exit")
-	shardbench := flag.String("shardbench", "", "run the sharded-engine scaling curve and the large streamed power-law solve, write machine-readable JSON to this path ('-' for stdout), then exit")
-	shardSolveOut := flag.String("shardsolve-out", "", "with -shardbench: also write the big run's instance+coloring as an ldc-verify document to this path")
-	matrixbench := flag.String("matrixbench", "", "run the cross-family who-wins matrix (oldc, fk24, maus21, delta1, degluby across Δ columns) and write machine-readable JSON to this path ('-' for stdout), then exit; honors -quick")
 	matrixDocs := flag.String("matrix-docs", "", "with -matrixbench: also write one ldc-verify document per matrix row into this directory")
-	tracePath := flag.String("trace", "", "run the canonical traced Δ=64 solve, write its ldc-trace/v1 JSONL to this path ('-' for stdout), verify reconciliation, then exit")
+
+	// reports are the machine-readable suites. Each flag names the path
+	// of the report's JSON ('-' for stdout); the first one given runs,
+	// writes its report, and ends the process.
+	reports := []struct {
+		name, usage string
+		run         func() (any, error)
+	}{
+		{"chaosbench", "run detect-and-repair solving under every built-in fault schedule and write machine-readable JSON to this path ('-' for stdout), then exit",
+			func() (any, error) { return bench.RunChaosBench(), nil }},
+		{"servebench", "run the incremental recoloring service under sustained churn and write machine-readable JSON to this path ('-' for stdout), then exit",
+			func() (any, error) { return bench.RunServeBench() }},
+		{"recoverybench", "run the crash-recovery suite (supervised kill/resume + durable-store WAL replay) and write machine-readable JSON to this path ('-' for stdout), then exit",
+			func() (any, error) { return bench.RunRecoverBench() }},
+		{"matrixbench", "run the cross-family who-wins matrix (oldc, fk24, maus21, delta1, degluby across Δ columns) and write machine-readable JSON to this path ('-' for stdout), then exit; honors -quick",
+			func() (any, error) { return bench.RunMatrixBench(*quick, *matrixDocs) }},
+	}
+	paths := make([]*string, len(reports))
+	for i, r := range reports {
+		paths[i] = flag.String(r.name, "", r.usage)
+	}
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file at exit")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this address during the run")
@@ -78,81 +90,16 @@ func run() int {
 		}()
 	}
 
-	if *tracePath != "" {
-		if err := bench.RunTraced(*tracePath); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			return 1
+	for i, r := range reports {
+		if *paths[i] == "" {
+			continue
 		}
-		return 0
-	}
-	if *simbench != "" {
-		rep := bench.RunSimBench()
-		if err := rep.WriteJSON(*simbench); err != nil {
-			fmt.Fprintf(os.Stderr, "simbench: %v\n", err)
-			return 1
+		rep, err := r.run()
+		if err == nil {
+			err = bench.WriteJSON(*paths[i], rep)
 		}
-		return 0
-	}
-	if *algbench != "" {
-		rep := bench.RunAlgBench()
-		if err := rep.WriteJSON(*algbench); err != nil {
-			fmt.Fprintf(os.Stderr, "algbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *chaosbench != "" {
-		rep := bench.RunChaosBench()
-		if err := rep.WriteJSON(*chaosbench); err != nil {
-			fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *servebench != "" {
-		rep, err := bench.RunServeBench()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*servebench); err != nil {
-			fmt.Fprintf(os.Stderr, "servebench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *recoverybench != "" {
-		rep, err := bench.RunRecoverBench()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "recoverybench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*recoverybench); err != nil {
-			fmt.Fprintf(os.Stderr, "recoverybench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *matrixbench != "" {
-		rep, err := bench.RunMatrixBench(*quick, *matrixDocs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "matrixbench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*matrixbench); err != nil {
-			fmt.Fprintf(os.Stderr, "matrixbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *shardbench != "" {
-		rep, err := bench.RunShardBench(*quick, *shardSolveOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
-			return 1
-		}
-		if err := rep.WriteJSON(*shardbench); err != nil {
-			fmt.Fprintf(os.Stderr, "shardbench: %v\n", err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", r.name, err)
 			return 1
 		}
 		return 0

@@ -11,7 +11,7 @@
 //	ldc-run -graph file:web.edges -algo degluby  # edge-list file on disk
 //	ldc-run -graph pa -n 100000 -deg 3 -algo luby -shards 8
 //	ldc-run -algo oldc -chaos drop:0.1+flip:0.01 -repair
-//	ldc-run -algo degluby -chaos kill:3+kill:9 -ckpt run.ckpt  # killed twice, resumed twice
+//	ldc-run -algo degluby -chaos kill:2+kill:4 -ckpt run.ckpt  # killed twice, resumed twice
 //	ldc-run -algo oldc -chaos kill:2 -ckpt run.ckpt -trace run.jsonl
 //	ldc-run -graph regular -n 256 -deg 8 -algo fk24 -buckets 18
 //	ldc-run -graph regular -n 512 -deg 8 -algo maus21 -k 2

@@ -1,13 +1,13 @@
 // Command ldc-trace summarizes an ldc-trace/v1 JSONL round trace (written
-// by `ldc-run -trace` or `ldc-bench -trace`): it prints the run metadata,
-// the phase transitions interleaved with a per-round table, the end totals,
-// and a reconciliation verdict checking that the per-round events sum
-// exactly to the run's declared totals.
+// by `ldc-run -trace`): it prints the run metadata, the phase transitions
+// interleaved with a per-round table, the end totals, and a reconciliation
+// verdict checking that the per-round events sum exactly to the run's
+// declared totals.
 //
 // Usage:
 //
 //	ldc-run -algo oldc -trace run.jsonl && ldc-trace run.jsonl
-//	ldc-bench -trace - | ldc-trace
+//	ldc-trace < run.jsonl
 //
 // Exit status 0 = trace reconciles, 1 = reconciliation failure, 2 =
 // malformed input (mirroring ldc-verify's contract).

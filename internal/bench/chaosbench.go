@@ -2,12 +2,12 @@ package bench
 
 import (
 	"errors"
-	"runtime"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/coloring"
 	"repro/internal/graph"
+	"repro/internal/linial"
 	"repro/internal/oldc"
 	"repro/internal/sim"
 )
@@ -35,24 +35,16 @@ type ChaosBenchEntry struct {
 }
 
 // ChaosBenchReport is the machine-readable BENCH_chaos.json payload
-// (schema ldc-chaos-bench/v1): the robustness sibling of SimBenchReport
-// and AlgBenchReport. It records, per built-in fault schedule, the
-// survival and repair figures of oldc.SolveRobust on a fixed Δ=64
+// (schema ldc-chaos-bench/v1). It records, per built-in fault schedule,
+// the survival and repair figures of oldc.SolveRobust on a fixed Δ=64
 // instance.
 type ChaosBenchReport struct {
-	Schema  string            `json:"schema"`
-	Date    string            `json:"date"`
-	GoOS    string            `json:"goos"`
-	GoArch  string            `json:"goarch"`
-	CPUs    int               `json:"cpus"`
+	Header
 	Entries []ChaosBenchEntry `json:"benchmarks"`
 }
 
-// WriteJSON writes the report to path, or to stdout when path is "-".
-func (rep ChaosBenchReport) WriteJSON(path string) error { return writeBenchJSON(path, rep) }
-
 // RunChaosBench runs oldc.SolveRobust under every chaos.Builtin schedule
-// on a fixed random regular Δ=64 instance (the ISSUE's robustness
+// on a fixed random regular Δ=64 instance (the robustness
 // acceptance scale) and reports survival rate, repair cost, fault-ledger
 // totals, and final validity per schedule. Everything except the wall
 // clock is deterministic: fixed seeds, fixed schedules, shard-count
@@ -62,21 +54,11 @@ func RunChaosBench() ChaosBenchReport {
 		n     = 512
 		delta = 64
 	)
-	rep := ChaosBenchReport{
-		Schema: "ldc-chaos-bench/v1",
-		Date:   time.Now().UTC().Format("2006-01-02"),
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-	}
+	rep := ChaosBenchReport{Header: newHeader("ldc-chaos-bench/v1")}
 	g := graph.RandomRegular(n, delta, 1)
 	o := graph.OrientByID(g)
-	init := make([]int, n)
-	for v := range init {
-		init[v] = v
-	}
 	inst := coloring.SquareSumOriented(o, 1<<14, 6.0, 3, 7)
-	in := oldc.Input{O: o, SpaceSize: 1 << 14, Lists: inst.Lists, InitColors: init, M: n}
+	in := oldc.Input{O: o, SpaceSize: 1 << 14, Lists: inst.Lists, InitColors: linial.IDs(n), M: n}
 
 	for _, sched := range chaos.Builtin(g, 42) {
 		eng := sim.NewEngineWith(g, sim.Options{Faults: sched.Model})

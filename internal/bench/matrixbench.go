@@ -6,12 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/family"
 	"repro/internal/graph"
+	"repro/internal/linial"
 	"repro/internal/oldc"
 )
 
@@ -42,22 +42,14 @@ type MatrixRow struct {
 // and when docs were requested each row names an ldc-verify document that
 // independently re-checks it.
 type MatrixReport struct {
-	Schema  string      `json:"schema"`
-	Date    string      `json:"date"`
-	GoOS    string      `json:"goos"`
-	GoArch  string      `json:"goarch"`
-	CPUs    int         `json:"cpus"`
+	Header
 	Quick   bool        `json:"quick,omitempty"`
 	Deltas  []int       `json:"deltas"`
 	Entries []MatrixRow `json:"rows"`
 }
 
-// WriteJSON writes the report to path, or to stdout when path is "-".
-func (rep MatrixReport) WriteJSON(path string) error { return writeBenchJSON(path, rep) }
-
-// matrixCase is one Δ column of the matrix. Space and κ scale with Δ the
-// same way the algbench cases do, so the OLDC instances stay solvable
-// under cover.Practical().
+// matrixCase is one Δ column of the matrix. Space and κ grow with Δ, so
+// the OLDC instances stay solvable under cover.Practical().
 type matrixCase struct {
 	n     int
 	delta int
@@ -139,25 +131,14 @@ func matrixIters(quick bool) int {
 // writes a self-contained ldc-verify document there and records its
 // filename, so the committed matrix stays independently re-checkable.
 func RunMatrixBench(quick bool, docsDir string) (MatrixReport, error) {
-	rep := MatrixReport{
-		Schema: "ldc-matrix-bench/v1",
-		Date:   time.Now().UTC().Format("2006-01-02"),
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-		Quick:  quick,
-	}
+	rep := MatrixReport{Header: newHeader("ldc-matrix-bench/v1"), Quick: quick}
 	iters := matrixIters(quick)
 	for _, c := range matrixCases(quick) {
 		rep.Deltas = append(rep.Deltas, c.delta)
 		g := graph.RandomRegular(c.n, c.delta, 1)
 		o := graph.OrientByID(g)
-		init := make([]int, c.n)
-		for v := range init {
-			init[v] = v
-		}
 		inst := coloring.SquareSumOriented(o, c.space, c.kappa, 3, 7)
-		in := oldc.Input{O: o, SpaceSize: c.space, Lists: inst.Lists, InitColors: init, M: c.n}
+		in := oldc.Input{O: o, SpaceSize: c.space, Lists: inst.Lists, InitColors: linial.IDs(c.n), M: c.n}
 
 		for _, e := range matrixFamilies {
 			fam := family.Lookup(e.family)

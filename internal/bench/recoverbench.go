@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"time"
 
 	"repro/internal/chaos"
@@ -65,17 +64,10 @@ type WALReplayEntry struct {
 // execution layers at Δ=8 and Δ=64 — supervised kill/resume latency for
 // engine runs, and WAL replay throughput for the durable serve store.
 type RecoverBenchReport struct {
-	Schema string              `json:"schema"`
-	Date   string              `json:"date"`
-	GoOS   string              `json:"goos"`
-	GoArch string              `json:"goarch"`
-	CPUs   int                 `json:"cpus"`
-	Kills  []KillRecoveryEntry `json:"kill_recovery"`
-	WAL    []WALReplayEntry    `json:"wal_replay"`
+	Header
+	Kills []KillRecoveryEntry `json:"kill_recovery"`
+	WAL   []WALReplayEntry    `json:"wal_replay"`
 }
-
-// WriteJSON writes the report to path, or to stdout when path is "-".
-func (rep RecoverBenchReport) WriteJSON(path string) error { return writeBenchJSON(path, rep) }
 
 // runKillPlan executes one supervised DegreeLuby run under the plan,
 // checkpointing every round, and reports the recovery accounting. Plans
@@ -185,6 +177,10 @@ func runWALReplay(delta, n, batches int, dir string) (WALReplayEntry, error) {
 	return e, nil
 }
 
+// recoverKillCases are the RandomRegular(n, Δ) graphs the kill plans run
+// on.
+var recoverKillCases = []struct{ delta, n int }{{8, 256}, {64, 512}}
+
 // RunRecoverBench measures crash recovery at Δ=8 and Δ=64 on both
 // execution layers: supervised engine runs under every built-in kill
 // plan (checkpoint restore latency, restart counts, determinism against
@@ -192,21 +188,14 @@ func runWALReplay(delta, n, batches int, dir string) (WALReplayEntry, error) {
 // WAL replay throughput after a simulated crash). Everything except the
 // wall clock is deterministic.
 func RunRecoverBench() (RecoverBenchReport, error) {
-	rep := RecoverBenchReport{
-		Schema: "ldc-recover-bench/v1",
-		Date:   time.Now().UTC().Format("2006-01-02"),
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-	}
+	rep := RecoverBenchReport{Header: newHeader("ldc-recover-bench/v1")}
 	scratch, err := os.MkdirTemp("", "ldc-recover-bench")
 	if err != nil {
 		return rep, err
 	}
 	defer os.RemoveAll(scratch)
 
-	cases := []struct{ delta, n int }{{8, 256}, {64, 512}}
-	for _, tc := range cases {
+	for _, tc := range recoverKillCases {
 		g := graph.RandomRegular(tc.n, tc.delta, 1)
 		for i, np := range chaos.BuiltinRecovery(g, 42) {
 			ckpt := filepath.Join(scratch, fmt.Sprintf("d%d-%d.ckpt", tc.delta, i))

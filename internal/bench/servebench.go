@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
 	"time"
 
 	"repro/internal/coloring"
 	"repro/internal/graph"
+	"repro/internal/linial"
 	"repro/internal/oldc"
 	"repro/internal/serve"
 	"repro/internal/sim"
@@ -49,16 +49,9 @@ type ServeBenchEntry struct {
 // (schema ldc-serve-bench/v1): sustained-churn throughput and latency of
 // the incremental recoloring service at Δ=8 and Δ=64.
 type ServeBenchReport struct {
-	Schema  string            `json:"schema"`
-	Date    string            `json:"date"`
-	GoOS    string            `json:"goos"`
-	GoArch  string            `json:"goarch"`
-	CPUs    int               `json:"cpus"`
+	Header
 	Entries []ServeBenchEntry `json:"benchmarks"`
 }
-
-// WriteJSON writes the report to path, or to stdout when path is "-".
-func (rep ServeBenchReport) WriteJSON(path string) error { return writeBenchJSON(path, rep) }
 
 // serveChurnBatch generates one valid mutation batch against the live
 // graph. Mutations within a batch touch disjoint endpoints, so validity
@@ -112,13 +105,7 @@ func serveChurnBatch(rng *rand.Rand, g *graph.Graph, size int) []serve.Mutation 
 // mutated instance from scratch for the cost comparison. Everything
 // except the wall clock is deterministic.
 func RunServeBench() (ServeBenchReport, error) {
-	rep := ServeBenchReport{
-		Schema: "ldc-serve-bench/v1",
-		Date:   time.Now().UTC().Format("2006-01-02"),
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		CPUs:   runtime.NumCPU(),
-	}
+	rep := ServeBenchReport{Header: newHeader("ldc-serve-bench/v1")}
 	cases := []struct {
 		delta, n, batches int
 	}{
@@ -187,11 +174,7 @@ func RunServeBench() (ServeBenchReport, error) {
 		}
 
 		// From-scratch baseline on the final mutated instance.
-		init := make([]int, o.N())
-		for v := range init {
-			init[v] = v
-		}
-		in := oldc.Input{O: o, SpaceSize: 4096, Lists: lists, InitColors: init, M: o.N()}
+		in := oldc.Input{O: o, SpaceSize: 4096, Lists: lists, InitColors: linial.IDs(o.N()), M: o.N()}
 		phi, srep, err := oldc.SolveRobust(sim.NewEngine(o.Graph()), in, oldc.RobustOptions{})
 		e.ScratchRounds = srep.Stats.Rounds
 		e.ScratchValid = err == nil && coloring.CheckOLDC(o, lists, phi) == nil

@@ -241,7 +241,7 @@ type NamedPlan struct {
 func BuiltinRecovery(g *graph.Graph, seed uint64) []NamedPlan {
 	specs := []struct{ name, spec string }{
 		{"kill-3", "kill:3"},
-		{"kill-3-9", "kill:3+kill:9"},
+		{"kill-2-4", "kill:2+kill:4"},
 		{"killshard-1@4", "killshard:1@4"},
 		{"kill-under-drop", "drop:0.05+kill:4"},
 	}

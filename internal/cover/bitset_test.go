@@ -34,7 +34,7 @@ func TestColorSetRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return !s.Contains(-1) && !s.Contains(1 << 20)
+		return !s.Contains(-1) && !s.Contains(1<<20)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -11,8 +11,8 @@ import (
 // End-to-end Solve benchmarks on regular graphs across the degree range
 // the family cache and bitset kernels target. Each iteration is one full
 // run (γ-class selection, Phase I, Phase II) on a fresh engine; the
-// instance is built once. cmd/ldc-bench -algbench runs the larger
-// machine-readable suite (internal/bench) built the same way.
+// instance is built once. perfbench's dense-oldc workload measures the
+// Δ=128 instance end to end.
 func benchmarkSolve(b *testing.B, n, delta, space int, kappa float64, noCache bool) {
 	g := graph.RandomRegular(n, delta, 1)
 	o := graph.OrientByID(g)

@@ -245,32 +245,25 @@ func (c *Checkpointer) Hook(alg Snapshotter) RoundHook {
 		if (round+1)%every != 0 {
 			return nil
 		}
-		return c.Write(round, alg, stats)
-	}
-}
-
-// Write unconditionally checkpoints the state after round `round` has
-// executed (the Hook applies the Every cadence; supervisors call Write
-// directly for a final checkpoint).
-func (c *Checkpointer) Write(round int, alg Snapshotter, stats *Stats) error {
-	off := int64(-1)
-	if c.TraceSync != nil {
-		o, err := c.TraceSync()
-		if err != nil {
-			return fmt.Errorf("sim: checkpoint trace sync: %w", err)
+		off := int64(-1)
+		if c.TraceSync != nil {
+			o, err := c.TraceSync()
+			if err != nil {
+				return fmt.Errorf("sim: checkpoint trace sync: %w", err)
+			}
+			off = o
 		}
-		off = o
+		st := ckpt.NewRawEncoder()
+		alg.SnapshotState(st)
+		image := (&Checkpoint{Key: c.Key, Round: round + 1, TraceOffset: off, Stats: *stats, State: st.Finish()}).Encode()
+		if err := ckpt.WriteFileAtomic(c.Path, image); err != nil {
+			return fmt.Errorf("sim: checkpoint write: %w", err)
+		}
+		if reg := c.Metrics; reg != nil {
+			reg.Counter(obs.MetricCkptWrites).Add(1)
+			reg.Counter(obs.MetricCkptBytes).Add(int64(len(image)))
+			reg.Gauge(obs.MetricCkptLastRound).Set(int64(round + 1))
+		}
+		return nil
 	}
-	st := ckpt.NewRawEncoder()
-	alg.SnapshotState(st)
-	image := (&Checkpoint{Key: c.Key, Round: round + 1, TraceOffset: off, Stats: *stats, State: st.Finish()}).Encode()
-	if err := ckpt.WriteFileAtomic(c.Path, image); err != nil {
-		return fmt.Errorf("sim: checkpoint write: %w", err)
-	}
-	if reg := c.Metrics; reg != nil {
-		reg.Counter(obs.MetricCkptWrites).Add(1)
-		reg.Counter(obs.MetricCkptBytes).Add(int64(len(image)))
-		reg.Gauge(obs.MetricCkptLastRound).Set(int64(round + 1))
-	}
-	return nil
 }

@@ -24,12 +24,6 @@ func TestPayloadSizes(t *testing.T) {
 	if got := encBits(BitsetPayload{Set: []int{1, 3}, Universe: 10}); got != 10 {
 		t.Fatalf("bitset payload %d bits", got)
 	}
-	// ListPayload: varint length + fixed-width entries.
-	lp := ListPayload{Values: []int{1, 2, 3}, Width: 4}
-	lenBits := encBits(VarintPayload{Value: 3})
-	if got := encBits(lp); got != lenBits+3*4 {
-		t.Fatalf("list payload %d bits, want %d", got, lenBits+3*4)
-	}
 	comp := Composite{UintPayload{Value: 1, Width: 2}, VarintPayload{Value: 0}}
 	if got := encBits(comp); got != 3 {
 		t.Fatalf("composite %d bits", got)

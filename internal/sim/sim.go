@@ -544,21 +544,6 @@ type BitsetPayload struct {
 // EncodeBits implements Payload.
 func (p BitsetPayload) EncodeBits(w *bitio.Writer) { w.WriteBitset(p.Set, p.Universe) }
 
-// ListPayload encodes a list of values each of fixed width, preceded by a
-// varint length (the "send the colors" encoding from Lemma 3.6).
-type ListPayload struct {
-	Values []int
-	Width  int
-}
-
-// EncodeBits implements Payload.
-func (p ListPayload) EncodeBits(w *bitio.Writer) {
-	w.WriteVarint(uint64(len(p.Values)))
-	for _, v := range p.Values {
-		w.WriteUint(uint64(v), p.Width)
-	}
-}
-
 // CorruptPayload is what a receiver sees on a wire the fault model
 // corrupted: the exact encoded bits of the original message with one bit
 // flipped. Receivers that know their wire format can attempt to decode it
