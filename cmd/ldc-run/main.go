@@ -16,6 +16,7 @@
 //	ldc-run -graph regular -n 256 -deg 8 -algo fk24 -buckets 18
 //	ldc-run -graph regular -n 512 -deg 8 -algo maus21 -k 2
 //	ldc-run -algo oldc -trace run.jsonl          # then: ldc-trace run.jsonl
+//	ldc-run -algo oldc -trace - | ldc-trace      # report on stderr
 //	ldc-run -algo delta1 -cpuprofile cpu.out
 //
 // Exit status 0 = the run produced a valid output, 1 = the run failed or
@@ -136,7 +137,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		ckptEvery   = fs.Int("ckpt-every", 1, "checkpoint cadence in rounds for -ckpt")
 		maxRestarts = fs.Int("max-restarts", 5, "restarts allowed after injected kills (-chaos kill:/killshard:) before giving up")
 
-		tracePath   = fs.String("trace", "", "write an ldc-trace/v1 JSONL round trace to this path ('-' = stdout); summarize with ldc-trace")
+		tracePath   = fs.String("trace", "", "write an ldc-trace/v1 JSONL round trace to this path ('-' = stdout, moving the report to stderr); summarize with ldc-trace")
 		metricsAddr = fs.String("metrics-addr", "", "after a successful run, serve Prometheus-style text metrics on this address at /metrics (keeps the process alive)")
 		cpuprofile  = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile  = fs.String("memprofile", "", "write a heap profile to this file at exit")
@@ -288,35 +289,41 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		die(tracer.Flush())
 	}
 
+	// With -trace - the trace owns stdout, so the report goes to stderr and
+	// the trace pipes cleanly into ldc-trace.
+	report := stdout
+	if *tracePath == "-" {
+		report = stderr
+	}
 	if *asJSON {
 		// Include the edge list so the document is self-contained and can
 		// be piped into ldc-verify.
 		g.ForEachEdge(func(u, v int) { out.Edges = append(out.Edges, [2]int{u, v}) })
-		enc := json.NewEncoder(stdout)
+		enc := json.NewEncoder(report)
 		enc.SetIndent("", "  ")
 		die(enc.Encode(out))
 	} else {
-		fmt.Fprintf(stdout, "graph=%s n=%d m=%d Δ=%d\n", out.Graph, out.N, out.M, out.MaxDegree)
-		fmt.Fprintf(stdout, "algo=%s rounds=%d messages=%d total=%d bits max-msg=%d bits\n",
+		fmt.Fprintf(report, "graph=%s n=%d m=%d Δ=%d\n", out.Graph, out.N, out.M, out.MaxDegree)
+		fmt.Fprintf(report, "algo=%s rounds=%d messages=%d total=%d bits max-msg=%d bits\n",
 			out.Algorithm, out.Rounds, out.Messages, out.TotalBits, out.MaxMsgBits)
 		if out.ColorsUsed > 0 {
-			fmt.Fprintf(stdout, "colors used: %d\n", out.ColorsUsed)
+			fmt.Fprintf(report, "colors used: %d\n", out.ColorsUsed)
 		}
 		if out.MISSize > 0 {
-			fmt.Fprintf(stdout, "MIS size: %d\n", out.MISSize)
+			fmt.Fprintf(report, "MIS size: %d\n", out.MISSize)
 		}
 		if out.ChaosSpec != "" {
-			fmt.Fprintf(stdout, "chaos=%s dropped=%d corrupted=%d decode-faults=%d\n",
+			fmt.Fprintf(report, "chaos=%s dropped=%d corrupted=%d decode-faults=%d\n",
 				out.ChaosSpec, out.Dropped, out.Corrupted, out.DecodeFaults)
 		}
 		if out.Restarts > 0 {
-			fmt.Fprintf(stdout, "restarts: %d\n", out.Restarts)
+			fmt.Fprintf(report, "restarts: %d\n", out.Restarts)
 		}
 		if out.SurvivalRate != nil {
-			fmt.Fprintf(stdout, "survival=%.3f initial-bad=%d repairs=%d repair-rounds=%d fallback=%d residual=%d\n",
+			fmt.Fprintf(report, "survival=%.3f initial-bad=%d repairs=%d repair-rounds=%d fallback=%d residual=%d\n",
 				*out.SurvivalRate, out.InitialBad, out.Repairs, out.RepairRounds, out.Fallback, len(out.ResidualBad))
 		}
-		fmt.Fprintf(stdout, "valid: %v\n", out.Valid)
+		fmt.Fprintf(report, "valid: %v\n", out.Valid)
 	}
 
 	if *memprofile != "" {

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // writeEdgeFile drops a small valid edge-list file (a 6-ring) into a temp
@@ -123,5 +125,41 @@ func TestRunOutputs(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "survival=") || !strings.Contains(out.String(), "chaos=drop:0.2") {
 		t.Fatalf("missing chaos/repair summary:\n%s", out.String())
+	}
+}
+
+// TestTraceToStdout runs with -trace -: stdout must hold exactly the
+// ldc-trace/v1 stream (it parses, reconciles, and matches the file form
+// byte for byte) and the text report must go to stderr.
+func TestTraceToStdout(t *testing.T) {
+	args := []string{"-graph", "regular", "-n", "48", "-deg", "6", "-seed", "3", "-algo", "oldc"}
+	var stdout, stderr strings.Builder
+	if code := run(append(args, "-trace", "-"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	events, err := obs.ParseTrace(strings.NewReader(stdout.String()))
+	if err != nil {
+		t.Fatalf("stdout is not an ldc-trace/v1 stream: %v", err)
+	}
+	if err := obs.Reconcile(events); err != nil {
+		t.Fatalf("trace does not reconcile: %v", err)
+	}
+	if !strings.Contains(stderr.String(), "valid: true") {
+		t.Fatalf("report missing from stderr:\n%s", stderr.String())
+	}
+	path := filepath.Join(t.TempDir(), "run.jsonl")
+	var report strings.Builder
+	if code := run(append(args, "-trace", path), &report, io.Discard); code != 0 {
+		t.Fatalf("file-form run exit %d", code)
+	}
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(file) != stdout.String() {
+		t.Fatal("-trace - stream differs from the -trace file")
+	}
+	if report.String() != stderr.String() {
+		t.Fatalf("report differs between the two forms:\n%s\nvs\n%s", report.String(), stderr.String())
 	}
 }

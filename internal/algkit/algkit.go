@@ -17,6 +17,11 @@
 //   - CountWindow / CountMerge: per-color occurrence counting against
 //     sorted color lists (windowed for gap-g instances, two-pointer merged
 //     for gap 0).
+//   - The wire layer (wire.go): the bitset-or-explicit color list codec,
+//     the IndexMsg and ColorMsg control messages, the one DecodeError type
+//     and the Resolve function every family runs its inbox payloads
+//     through, so a corrupted payload is re-parsed, reported and skipped
+//     in one place.
 //
 // Everything here is deterministic and safe for concurrent use from
 // different engine shard goroutines, which is what keeps algorithm output

@@ -303,6 +303,20 @@ func TestFamilyCacheHitsAndKeying(t *testing.T) {
 	}
 }
 
+// TestNilFamilyCacheDerives pins the NoFamilyCache path: a nil cache
+// derives a fresh family per call, equal to the cached one.
+func TestNilFamilyCacheDerives(t *testing.T) {
+	var c *FamilyCache
+	ty := Type{InitColor: 3, List: []int{1, 5, 9, 13}, SetSize: 2, NumSets: 3}
+	f1, f2 := c.Get(ty), c.Get(ty)
+	if f1 == f2 {
+		t.Fatal("a nil cache must not memoize")
+	}
+	if want := NewFamilyCache().Get(ty); !reflect.DeepEqual(f1, want) || !reflect.DeepEqual(f2, want) {
+		t.Fatal("nil-cache family differs from the cached derivation")
+	}
+}
+
 func TestFamilyCacheConcurrentDeterminism(t *testing.T) {
 	// Concurrent Gets for overlapping types (the engine's parallel Inbox
 	// callbacks) must all observe families identical to the direct

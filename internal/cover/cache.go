@@ -251,8 +251,12 @@ func NewFamilyCache() *FamilyCache { return &FamilyCache{} }
 // The cache aliases t.List (it is not copied): the caller must not mutate
 // the list after the call. The solve algorithms satisfy this by
 // construction — lists live in per-solve arenas or caller-owned inputs and
-// are immutable once announced.
+// are immutable once announced. A nil cache memoizes nothing: it derives
+// a fresh family on every call (the NoFamilyCache ablation).
 func (c *FamilyCache) Get(t Type) *CachedFamily {
+	if c == nil {
+		return NewCachedFamily(t)
+	}
 	h := typeHash(t)
 	c.mu.RLock()
 	fam := c.lookup(h, t)

@@ -89,7 +89,7 @@ type spec struct {
 // covers the same-bucket neighbors that commit simultaneously.
 type alg struct {
 	spec  spec
-	sink  faultReporter
+	sink  algkit.FaultReporter
 	cache *cover.FamilyCache
 	csr   algkit.OutCSR
 
@@ -158,9 +158,6 @@ func (a *alg) familyOf(initColor int, list []int) *cover.CachedFamily {
 		SetSize:   a.spec.pr.SetSize(1, a.spec.tau, len(list)),
 		NumSets:   a.spec.kprime,
 	}
-	if a.cache == nil {
-		return cover.NewCachedFamily(ty)
-	}
 	return a.cache.Get(ty)
 }
 
@@ -168,18 +165,17 @@ func (a *alg) Outbox(v int, out *sim.Outbox) {
 	switch {
 	case a.round == 1:
 		out.Broadcast(typeMsg{
-			initColor:  a.spec.init[v],
-			list:       a.spec.lists[v].Colors,
-			mWidth:     bitio.WidthFor(a.spec.m),
-			spaceSize:  a.spec.spaceSize,
-			colorWidth: bitio.WidthFor(a.spec.spaceSize),
+			initColor: a.spec.init[v],
+			list:      a.spec.lists[v].Colors,
+			mWidth:    bitio.WidthFor(a.spec.m),
+			spaceSize: a.spec.spaceSize,
 		})
 	case a.round == 2:
-		out.Broadcast(setMsg{index: a.cvIdx[v], width: bitio.WidthFor(a.spec.kprime)})
+		out.Broadcast(algkit.IndexMsg{Index: a.cvIdx[v], Width: bitio.WidthFor(a.spec.kprime)})
 	default:
 		if a.bucketOf(a.spec.init[v]) == a.round-3 {
 			a.pickColor(v)
-			out.Broadcast(commitMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(algkit.ColorMsg{Color: a.phi[v], Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -189,7 +185,7 @@ func (a *alg) Inbox(v int, in []sim.Received) {
 	case a.round == 1:
 		myBucket := a.bucketOf(a.spec.init[v])
 		for _, msg := range in {
-			m, ok := asTypeMsg(msg.Payload, a.spec.m, a.spec.spaceSize, a.sink)
+			m, ok := algkit.Resolve(msg.Payload, decodeTypeMsg, typeDims{a.spec.m, a.spec.spaceSize}, a.sink)
 			if !ok {
 				continue
 			}
@@ -214,12 +210,12 @@ func (a *alg) Inbox(v int, in []sim.Received) {
 			if i >= len(sb) || sb[i] != int32(msg.From) {
 				continue
 			}
-			m, ok := asSetMsg(msg.Payload, a.spec.kprime, a.sink)
+			m, ok := algkit.Resolve(msg.Payload, algkit.DecodeIndexMsg, a.spec.kprime, a.sink)
 			if !ok {
 				continue
 			}
-			if fam := a.sbFam[v][i]; fam != nil && m.index < len(fam.Sets) {
-				a.sbSet[v][i] = fam.Sets[m.index]
+			if fam := a.sbFam[v][i]; fam != nil && m.Index < len(fam.Sets) {
+				a.sbSet[v][i] = fam.Sets[m.Index]
 			}
 		}
 	default:
@@ -227,8 +223,8 @@ func (a *alg) Inbox(v int, in []sim.Received) {
 			return
 		}
 		for _, msg := range in {
-			if m, ok := asCommitMsg(msg.Payload, a.spec.spaceSize, a.sink); ok {
-				algkit.CountWindow(a.committed[v], a.cv[v], m.color, 0)
+			if m, ok := algkit.Resolve(msg.Payload, algkit.DecodeColorMsg, a.spec.spaceSize, a.sink); ok {
+				algkit.CountWindow(a.committed[v], a.cv[v], m.Color, 0)
 			}
 		}
 	}

@@ -30,15 +30,16 @@
 // validates the output against the OLDC condition unless SkipValidate is
 // set.
 //
-// All three message kinds have hardened decoders: a corrupted payload
-// (sim.CorruptPayload) is re-parsed, validated field by field against the
-// shared global parameters, and dropped — reported to the engine's fault
-// ledger — when malformed, exactly like internal/oldc's wire layer.
+// All three message kinds have hardened decoders in the shared wire layer
+// (internal/algkit/wire.go): a corrupted payload (sim.CorruptPayload) is
+// re-parsed, validated field by field against the shared global
+// parameters, and dropped — reported to the engine's fault ledger — when
+// malformed. The candidate-set index and the commit color travel as
+// algkit.IndexMsg and algkit.ColorMsg; only the type message is fk24's.
 package fk24
 
 import (
-	"fmt"
-
+	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -51,226 +52,39 @@ type typeMsg struct {
 	initColor int
 	list      []int
 	// encoding widths (global knowledge)
-	mWidth     int
-	spaceSize  int
-	colorWidth int
+	mWidth    int
+	spaceSize int
 }
 
-// EncodeBits writes the wire form: the initial color followed by the
-// cheaper of a characteristic vector or an explicit color list.
+// EncodeBits writes the wire form: the initial color followed by the list
+// through the shared list codec.
 func (m typeMsg) EncodeBits(w *bitio.Writer) {
 	w.WriteUint(uint64(m.initColor), m.mWidth)
-	explicit := 1 + len(m.list)*m.colorWidth
-	if m.spaceSize <= explicit {
-		w.WriteBit(0)
-		w.WriteBitset(m.list, m.spaceSize)
-	} else {
-		w.WriteBit(1)
-		w.WriteVarint(uint64(len(m.list)))
-		for _, c := range m.list {
-			w.WriteUint(uint64(c), m.colorWidth)
-		}
-	}
+	algkit.EncodeList(w, m.list, m.spaceSize)
 }
 
-// setMsg announces the chosen candidate set as an index into the sender's
-// family (receivers re-derive the family from the round-1 type).
-type setMsg struct {
-	index int
-	width int
-}
+var _ sim.Payload = typeMsg{}
 
-// EncodeBits writes the candidate-set index.
-func (m setMsg) EncodeBits(w *bitio.Writer) {
-	w.WriteUint(uint64(m.index), m.width)
-}
+// typeDims are the global parameters a type message decodes against: the
+// initial color count m and the color space |C|.
+type typeDims struct{ m, space int }
 
-// commitMsg announces a node's final color choice.
-type commitMsg struct {
-	color int
-	width int
-}
-
-// EncodeBits writes the committed color.
-func (m commitMsg) EncodeBits(w *bitio.Writer) {
-	w.WriteUint(uint64(m.color), m.width)
-}
-
-var (
-	_ sim.Payload = typeMsg{}
-	_ sim.Payload = setMsg{}
-	_ sim.Payload = commitMsg{}
-)
-
-// DecodeError reports a wire payload that failed to parse as the expected
-// fk24 message kind: truncated, syntactically malformed, or carrying a
-// field outside the range the shared parameters allow.
-type DecodeError struct {
-	Kind   string // "type", "set", or "commit"
-	Reason string // what was wrong
-	Err    error  // underlying bitio error, if any
-}
-
-// Error describes the malformed message, including the underlying bitio
-// error when there is one.
-func (e *DecodeError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("fk24: bad %s message: %s: %v", e.Kind, e.Reason, e.Err)
-	}
-	return fmt.Sprintf("fk24: bad %s message: %s", e.Kind, e.Reason)
-}
-
-// Unwrap exposes the underlying bitio error for errors.Is/As chains.
-func (e *DecodeError) Unwrap() error { return e.Err }
-
-// decodeTypeMsg parses the wire form of a typeMsg given the shared global
-// parameters (m, |C|). The returned message is fully validated: initColor
-// ∈ [0, m) and a non-empty strictly-ascending color list inside the space.
-func decodeTypeMsg(r *bitio.Reader, m, spaceSize int) (typeMsg, error) {
-	fail := func(reason string) (typeMsg, error) {
-		return typeMsg{}, &DecodeError{Kind: "type", Reason: reason, Err: r.Err()}
-	}
-	out := typeMsg{
-		mWidth:     bitio.WidthFor(m),
-		spaceSize:  spaceSize,
-		colorWidth: bitio.WidthFor(spaceSize),
-	}
+// decodeTypeMsg parses the wire form of a typeMsg. The returned message is
+// fully validated: initColor ∈ [0, m) and a list algkit.DecodeList
+// accepts.
+func decodeTypeMsg(r *bitio.Reader, d typeDims) (typeMsg, error) {
+	out := typeMsg{mWidth: bitio.WidthFor(d.m), spaceSize: d.space}
 	out.initColor = int(r.ReadUint(out.mWidth))
 	if r.Err() != nil {
-		return fail("truncated header")
+		return typeMsg{}, &algkit.DecodeError{Kind: "fk24 type message", Reason: "truncated header", Err: r.Err()}
 	}
-	if out.initColor >= m {
-		return fail("initial color outside [0, m)")
+	if out.initColor >= d.m {
+		return typeMsg{}, &algkit.DecodeError{Kind: "fk24 type message", Reason: "initial color outside [0, m)"}
 	}
-	if r.ReadBit() == 0 {
-		out.list = r.ReadBitset(spaceSize)
-		if r.Err() != nil {
-			return fail("truncated bitset list")
-		}
-	} else {
-		n := int(r.ReadVarint())
-		if r.Err() != nil {
-			return fail("truncated list length")
-		}
-		// A strictly-ascending in-range list has at most |C| entries, and
-		// its encoding needs n·colorWidth more bits; checking both bounds
-		// work and allocation on hostile input.
-		if n > spaceSize || n*out.colorWidth > r.Remaining() {
-			return fail("list length exceeds the color space or the payload")
-		}
-		out.list = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			c := int(r.ReadUint(out.colorWidth))
-			if c >= spaceSize {
-				return fail("list color outside the space")
-			}
-			if i > 0 && c <= out.list[i-1] {
-				return fail("list not strictly ascending")
-			}
-			out.list = append(out.list, c)
-		}
-		if r.Err() != nil {
-			return fail("truncated list")
-		}
+	list, err := algkit.DecodeList(r, d.space)
+	if err != nil {
+		return typeMsg{}, err
 	}
-	if len(out.list) == 0 {
-		return fail("empty color list")
-	}
+	out.list = list
 	return out, nil
-}
-
-// decodeSetMsg parses the wire form of a setMsg; the index must address
-// the k′-set candidate family.
-func decodeSetMsg(r *bitio.Reader, kprime int) (setMsg, error) {
-	w := bitio.WidthFor(kprime)
-	idx := int(r.ReadUint(w))
-	if r.Err() != nil {
-		return setMsg{}, &DecodeError{Kind: "set", Reason: "truncated", Err: r.Err()}
-	}
-	if kprime > 0 && idx >= kprime {
-		return setMsg{}, &DecodeError{Kind: "set", Reason: "index outside the candidate family"}
-	}
-	return setMsg{index: idx, width: w}, nil
-}
-
-// decodeCommitMsg parses the wire form of a commitMsg; the color must lie
-// in the space.
-func decodeCommitMsg(r *bitio.Reader, spaceSize int) (commitMsg, error) {
-	w := bitio.WidthFor(spaceSize)
-	c := int(r.ReadUint(w))
-	if r.Err() != nil {
-		return commitMsg{}, &DecodeError{Kind: "commit", Reason: "truncated", Err: r.Err()}
-	}
-	if spaceSize > 0 && c >= spaceSize {
-		return commitMsg{}, &DecodeError{Kind: "commit", Reason: "color outside the space"}
-	}
-	return commitMsg{color: c, width: w}, nil
-}
-
-// faultReporter receives detected decode failures; both engines implement
-// it (ReportDecodeFault feeds the per-round fault ledger).
-type faultReporter interface{ ReportDecodeFault() }
-
-// report forwards a detected decode fault if a sink is installed.
-func report(sink faultReporter) {
-	if sink != nil {
-		sink.ReportDecodeFault()
-	}
-}
-
-// The as* helpers resolve an inbox payload to the message kind the round
-// schedule expects. A clean payload passes through; a corrupted payload is
-// re-parsed by the hardened decoder with an exact-consumption check, and a
-// failure is reported and skipped — the algorithm treats the wire as
-// dropped, which the defective-coloring analysis tolerates.
-
-func asTypeMsg(pay sim.Payload, m, spaceSize int, sink faultReporter) (typeMsg, bool) {
-	switch p := pay.(type) {
-	case typeMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeTypeMsg(r, m, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return typeMsg{}, false
-		}
-		return msg, true
-	default:
-		return typeMsg{}, false
-	}
-}
-
-func asSetMsg(pay sim.Payload, kprime int, sink faultReporter) (setMsg, bool) {
-	switch p := pay.(type) {
-	case setMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeSetMsg(r, kprime)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return setMsg{}, false
-		}
-		return msg, true
-	default:
-		return setMsg{}, false
-	}
-}
-
-func asCommitMsg(pay sim.Payload, spaceSize int, sink faultReporter) (commitMsg, bool) {
-	switch p := pay.(type) {
-	case commitMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeCommitMsg(r, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return commitMsg{}, false
-		}
-		return msg, true
-	default:
-		return commitMsg{}, false
-	}
 }

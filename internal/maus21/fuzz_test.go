@@ -33,7 +33,7 @@ func FuzzDecodePickMsg(f *testing.F) {
 			nbit = max
 		}
 		r := bitio.NewReader(data, nbit)
-		m, err := decodePickMsg(r, q1, palette)
+		m, err := decodePickMsg(r, pickDims{q1, palette})
 		if err != nil {
 			return
 		}
@@ -42,7 +42,7 @@ func FuzzDecodePickMsg(f *testing.F) {
 		}
 		w := bitio.NewWriter()
 		m.EncodeBits(w)
-		again, err := decodePickMsg(bitio.NewReader(w.Bytes(), w.Len()), q1, palette)
+		again, err := decodePickMsg(bitio.NewReader(w.Bytes(), w.Len()), pickDims{q1, palette})
 		if err != nil {
 			t.Fatalf("re-encode of accepted message failed to decode: %v", err)
 		}

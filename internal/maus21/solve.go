@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/coloring"
 	"repro/internal/graph"
@@ -46,7 +47,7 @@ type commitAlg struct {
 	q2      int
 	palette int // d + 1
 
-	sink faultReporter
+	sink algkit.FaultReporter
 	used []uint64 // per-node taken-slot bitset, paletteWords words each
 	wpn  int      // words per node
 	pick []int
@@ -115,7 +116,7 @@ func (a *commitAlg) Inbox(v int, in []sim.Received) {
 		return // already committed; later picks cannot constrain v
 	}
 	for _, msg := range in {
-		m, ok := asPickMsg(msg.Payload, a.q1, a.palette, a.sink)
+		m, ok := algkit.Resolve(msg.Payload, decodePickMsg, pickDims{a.q1, a.palette}, a.sink)
 		if !ok || m.class != a.class[v] {
 			continue
 		}

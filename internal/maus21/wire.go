@@ -26,15 +26,15 @@
 // small d (large k). With k ≥ Δ̂ the knob degenerates to d = 0 and the
 // result is exactly Linial's O(Δ²)-coloring in O(log* n) rounds.
 //
-// The commit broadcast is the one new wire message; its decoder is
-// hardened like internal/oldc's (typed *DecodeError, field validation,
-// fault-ledger reporting). The two Linial stages reuse internal/linial,
-// which skips non-UintPayload messages rather than trusting the wire.
+// The commit broadcast is the one new wire message; its decoder uses the
+// shared hardened wire layer of internal/algkit/wire.go (typed
+// *algkit.DecodeError, field validation, fault-ledger reporting through
+// algkit.Resolve). The two Linial stages reuse internal/linial, which
+// skips non-UintPayload messages rather than trusting the wire.
 package maus21
 
 import (
-	"fmt"
-
+	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -57,65 +57,26 @@ func (m pickMsg) EncodeBits(w *bitio.Writer) {
 
 var _ sim.Payload = pickMsg{}
 
-// DecodeError reports a wire payload that failed to parse as a pick
-// message: truncated or carrying a field outside the globally known
-// ranges.
-type DecodeError struct {
-	Reason string
-	Err    error // underlying bitio error, if any
-}
-
-// Error describes the malformed message.
-func (e *DecodeError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("maus21: bad pick message: %s: %v", e.Reason, e.Err)
-	}
-	return fmt.Sprintf("maus21: bad pick message: %s", e.Reason)
-}
-
-// Unwrap exposes the underlying bitio error for errors.Is/As chains.
-func (e *DecodeError) Unwrap() error { return e.Err }
-
-// decodePickMsg parses the wire form given the global parameters: q1
+// pickDims are the global parameters a pick message decodes against: q1
 // defect classes and a palette of d+1 colors.
-func decodePickMsg(r *bitio.Reader, q1, palette int) (pickMsg, error) {
-	out := pickMsg{classWidth: bitio.WidthFor(q1), pickWidth: bitio.WidthFor(palette)}
+type pickDims struct{ q1, palette int }
+
+// decodePickMsg parses the wire form of a pickMsg.
+func decodePickMsg(r *bitio.Reader, d pickDims) (pickMsg, error) {
+	fail := func(reason string) (pickMsg, error) {
+		return pickMsg{}, &algkit.DecodeError{Kind: "maus21 pick message", Reason: reason, Err: r.Err()}
+	}
+	out := pickMsg{classWidth: bitio.WidthFor(d.q1), pickWidth: bitio.WidthFor(d.palette)}
 	out.class = int(r.ReadUint(out.classWidth))
 	out.pick = int(r.ReadUint(out.pickWidth))
 	if r.Err() != nil {
-		return pickMsg{}, &DecodeError{Reason: "truncated", Err: r.Err()}
+		return fail("truncated")
 	}
-	if out.class >= q1 {
-		return pickMsg{}, &DecodeError{Reason: "class outside [0, q1)"}
+	if out.class >= d.q1 {
+		return fail("class outside [0, q1)")
 	}
-	if out.pick >= palette {
-		return pickMsg{}, &DecodeError{Reason: "pick outside the palette"}
+	if out.pick >= d.palette {
+		return fail("pick outside the palette")
 	}
 	return out, nil
-}
-
-// faultReporter receives detected decode failures (both engines implement
-// it).
-type faultReporter interface{ ReportDecodeFault() }
-
-// asPickMsg resolves an inbox payload: native pass-through, or re-parse of
-// a corrupted payload with exact-consumption check; failures are reported
-// to the fault ledger and dropped.
-func asPickMsg(pay sim.Payload, q1, palette int, sink faultReporter) (pickMsg, bool) {
-	switch p := pay.(type) {
-	case pickMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodePickMsg(r, q1, palette)
-		if err != nil || r.Remaining() != 0 {
-			if sink != nil {
-				sink.ReportDecodeFault()
-			}
-			return pickMsg{}, false
-		}
-		return msg, true
-	default:
-		return pickMsg{}, false
-	}
 }

@@ -455,8 +455,8 @@ func sortInts(a []int) {
 // write without synchronization or allocation.
 type twoPhaseAlg struct {
 	spec    basicSpec
-	sink    faultReporter      // decode-fault ledger (the engine); may be nil
-	cache   *cover.FamilyCache // nil when spec.noCache
+	sink    algkit.FaultReporter // decode-fault ledger (the engine); may be nil
+	cache   *cover.FamilyCache   // nil when spec.noCache
 	csr     algkit.OutCSR
 	curList [][]int // list after bad-color removal (set at the class round)
 	listBuf []int   // arena backing curList; node v owns listOff[v]:listOff[v+1]
@@ -524,9 +524,6 @@ func (a *twoPhaseAlg) familyOf(t typeInfo) *cover.CachedFamily {
 		SetSize:   a.spec.pr.SetSize(t.gclass, a.spec.tau, len(t.list)),
 		NumSets:   a.spec.kprime,
 	}
-	if a.cache == nil {
-		return cover.NewCachedFamily(ty)
-	}
 	return a.cache.Get(ty)
 }
 
@@ -542,23 +539,14 @@ func (a *twoPhaseAlg) Outbox(v int, out *sim.Outbox) {
 		if r%2 == 1 {
 			// Round A: remove bad colors and announce the type.
 			a.curList[v] = a.removeBadColors(v)
-			out.Broadcast(typeMsg{
-				initColor:  a.spec.initColors[v],
-				gclass:     a.spec.gclass[v],
-				defect:     a.spec.defect[v],
-				list:       a.curList[v],
-				mWidth:     bitio.WidthFor(a.spec.m),
-				hWidth:     bitio.WidthFor(a.spec.h + 1),
-				spaceSize:  a.spec.spaceSize,
-				colorWidth: bitio.WidthFor(a.spec.spaceSize),
-			})
+			out.Broadcast(a.spec.typeMsgOf(v, a.curList[v]))
 		} else {
 			// Round B: announce the chosen candidate set by its index.
-			out.Broadcast(chosenSetMsg{index: a.cvIdx[v], width: bitio.WidthFor(a.spec.kprime)})
+			out.Broadcast(algkit.IndexMsg{Index: a.cvIdx[v], Width: bitio.WidthFor(a.spec.kprime)})
 		}
 	default:
 		if a.pickedAt[v] == r-1 {
-			out.Broadcast(colorMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(algkit.ColorMsg{Color: a.phi[v], Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -622,7 +610,7 @@ func (a *twoPhaseAlg) Inbox(v int, in []sim.Received) {
 				if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
 					continue
 				}
-				m, mok := asTypeMsg(msg.Payload, a.spec.m, a.spec.h, a.spec.spaceSize, a.sink)
+				m, mok := algkit.Resolve(msg.Payload, decodeTypeMsg, typeDims{a.spec.m, a.spec.h, a.spec.spaceSize}, a.sink)
 				if !mok {
 					continue
 				}
@@ -651,7 +639,7 @@ func (a *twoPhaseAlg) Inbox(v int, in []sim.Received) {
 				if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
 					continue
 				}
-				m, mok := asChosenSetMsg(msg.Payload, a.spec.kprime, a.sink)
+				m, mok := algkit.Resolve(msg.Payload, algkit.DecodeIndexMsg, a.spec.kprime, a.sink)
 				if !mok {
 					continue
 				}
@@ -659,9 +647,9 @@ func (a *twoPhaseAlg) Inbox(v int, in []sim.Received) {
 				if fam == nil {
 					continue
 				}
-				if m.index < len(fam.Sets) {
-					a.nbrCv[pos] = fam.Sets[m.index]
-					a.nbrCvIdx[pos] = int32(m.index)
+				if m.Index < len(fam.Sets) {
+					a.nbrCv[pos] = fam.Sets[m.Index]
+					a.nbrCvIdx[pos] = int32(m.Index)
 				}
 			}
 			if class == h && a.spec.gclass[v] == h {
@@ -677,8 +665,8 @@ func (a *twoPhaseAlg) Inbox(v int, in []sim.Received) {
 			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
 				continue
 			}
-			if m, mok := asColorMsg(msg.Payload, a.spec.spaceSize, a.sink); mok {
-				a.nbrColor[pos] = int32(m.color)
+			if m, mok := algkit.Resolve(msg.Payload, algkit.DecodeColorMsg, a.spec.spaceSize, a.sink); mok {
+				a.nbrColor[pos] = int32(m.Color)
 			}
 		}
 		cur := h - (r - (2*h + 1))

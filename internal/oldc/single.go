@@ -44,8 +44,8 @@ type basicSpec struct {
 // form the batched conflict kernel consumes.
 type basicAlg struct {
 	spec    basicSpec
-	sink    faultReporter      // decode-fault ledger (the engine); may be nil
-	cache   *cover.FamilyCache // nil when spec.noCache
+	sink    algkit.FaultReporter // decode-fault ledger (the engine); may be nil
+	cache   *cover.FamilyCache   // nil when spec.noCache
 	csr     algkit.OutCSR
 	reslist [][]int // residue-restricted lists (Section 3.2.2)
 	ownK    []*cover.CachedFamily
@@ -128,34 +128,18 @@ func (a *basicAlg) familyOf(t typeInfo) *cover.CachedFamily {
 		SetSize:   a.spec.pr.SetSize(t.gclass, a.spec.tau, len(t.list)),
 		NumSets:   a.spec.kprime,
 	}
-	if a.cache == nil {
-		return cover.NewCachedFamily(ty)
-	}
 	return a.cache.Get(ty)
-}
-
-func (a *basicAlg) typePayload(v int) typeMsg {
-	return typeMsg{
-		initColor:  a.spec.initColors[v],
-		gclass:     a.spec.gclass[v],
-		defect:     a.spec.defect[v],
-		list:       a.reslist[v],
-		mWidth:     bitio.WidthFor(a.spec.m),
-		hWidth:     bitio.WidthFor(a.spec.h + 1),
-		spaceSize:  a.spec.spaceSize,
-		colorWidth: bitio.WidthFor(a.spec.spaceSize),
-	}
 }
 
 func (a *basicAlg) Outbox(v int, out *sim.Outbox) {
 	switch {
 	case a.round == 1:
-		out.Broadcast(a.typePayload(v))
+		out.Broadcast(a.spec.typeMsgOf(v, a.reslist[v]))
 	case a.round == 2:
-		out.Broadcast(chosenSetMsg{index: a.cvIdx[v], width: bitio.WidthFor(a.spec.kprime)})
+		out.Broadcast(algkit.IndexMsg{Index: a.cvIdx[v], Width: bitio.WidthFor(a.spec.kprime)})
 	default:
 		if a.pickedAt[v] == a.round-1 {
-			out.Broadcast(colorMsg{color: a.phi[v], width: bitio.WidthFor(a.spec.spaceSize)})
+			out.Broadcast(algkit.ColorMsg{Color: a.phi[v], Width: bitio.WidthFor(a.spec.spaceSize)})
 		}
 	}
 }
@@ -170,7 +154,7 @@ func (a *basicAlg) Inbox(v int, in []sim.Received) {
 			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
 				continue
 			}
-			m, mok := asTypeMsg(msg.Payload, a.spec.m, a.spec.h, a.spec.spaceSize, a.sink)
+			m, mok := algkit.Resolve(msg.Payload, decodeTypeMsg, typeDims{a.spec.m, a.spec.h, a.spec.spaceSize}, a.sink)
 			if !mok {
 				continue
 			}
@@ -188,12 +172,12 @@ func (a *basicAlg) Inbox(v int, in []sim.Received) {
 			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
 				continue
 			}
-			m, mok := asChosenSetMsg(msg.Payload, a.spec.kprime, a.sink)
+			m, mok := algkit.Resolve(msg.Payload, algkit.DecodeIndexMsg, a.spec.kprime, a.sink)
 			if !mok {
 				continue
 			}
-			if fam := a.nbrFam[pos]; fam != nil && m.index < len(fam.Sets) {
-				a.nbrCv[pos] = fam.Sets[m.index]
+			if fam := a.nbrFam[pos]; fam != nil && m.Index < len(fam.Sets) {
+				a.nbrCv[pos] = fam.Sets[m.Index]
 			}
 		}
 		if a.spec.gclass[v] == a.spec.h {
@@ -208,8 +192,8 @@ func (a *basicAlg) Inbox(v int, in []sim.Received) {
 			if pos, p, ok = a.csr.MergePos(p, end, msg.From); !ok {
 				continue
 			}
-			if m, mok := asColorMsg(msg.Payload, a.spec.spaceSize, a.sink); mok {
-				a.nbrColor[pos] = int32(m.color)
+			if m, mok := algkit.Resolve(msg.Payload, algkit.DecodeColorMsg, a.spec.spaceSize, a.sink); mok {
+				a.nbrColor[pos] = int32(m.Color)
 			}
 		}
 		cur := a.spec.h - (a.round - 2)

@@ -21,8 +21,7 @@
 package oldc
 
 import (
-	"fmt"
-
+	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -30,96 +29,33 @@ import (
 // typeMsg carries a node's P2 type: its initial color, γ-class, single
 // defect value, and restricted color list. The receiver re-derives the
 // candidate family K deterministically from these fields (Lemma 3.6's
-// encoding argument).
+// encoding argument). The chosen set and the final color travel as
+// algkit.IndexMsg and algkit.ColorMsg.
 type typeMsg struct {
 	initColor int
 	gclass    int
 	defect    int
 	list      []int
 	// encoding widths (global knowledge)
-	mWidth     int
-	hWidth     int
-	spaceSize  int
-	colorWidth int
+	mWidth    int
+	hWidth    int
+	spaceSize int
 }
 
+// EncodeBits writes the header fields, then the list through the shared
+// list codec (the cheaper of a bitset or an explicit list).
 func (m typeMsg) EncodeBits(w *bitio.Writer) {
 	w.WriteUint(uint64(m.initColor), m.mWidth)
 	w.WriteUint(uint64(m.gclass), m.hWidth)
 	w.WriteVarint(uint64(m.defect))
-	// The list is sent as the cheaper of a characteristic vector (|C| bits)
-	// or an explicit color list (Λ·log|C| bits) — the min{|C|, Λ·log|C|}
-	// term of Theorem 1.1.
-	explicit := 1 + len(m.list)*m.colorWidth
-	if m.spaceSize <= explicit {
-		w.WriteBit(0)
-		w.WriteBitset(m.list, m.spaceSize)
-	} else {
-		w.WriteBit(1)
-		w.WriteVarint(uint64(len(m.list)))
-		for _, c := range m.list {
-			w.WriteUint(uint64(c), m.colorWidth)
-		}
-	}
+	algkit.EncodeList(w, m.list, m.spaceSize)
 }
 
-// chosenSetMsg announces the P1 output C_v as an index into the sender's
-// candidate family (receivers re-derive the family from the type message).
-type chosenSetMsg struct {
-	index int
-	width int
-}
+var _ sim.Payload = typeMsg{}
 
-func (m chosenSetMsg) EncodeBits(w *bitio.Writer) {
-	w.WriteUint(uint64(m.index), m.width)
-}
-
-// colorMsg announces a final color choice.
-type colorMsg struct {
-	color int
-	width int
-}
-
-func (m colorMsg) EncodeBits(w *bitio.Writer) {
-	w.WriteUint(uint64(m.color), m.width)
-}
-
-var (
-	_ sim.Payload = typeMsg{}
-	_ sim.Payload = chosenSetMsg{}
-	_ sim.Payload = colorMsg{}
-)
-
-// The simulator hands the receiver the payload value directly and uses
-// EncodeBits only for bandwidth accounting; the decoders below certify
-// that the encodings are self-contained (a real CONGEST wire could carry
-// exactly these bits), and they are the recovery path for corrupted
-// payloads: when the fault model flips a bit, the receiver gets a
-// sim.CorruptPayload and re-parses the damaged bits here. Every decoder
-// therefore validates its fields against the shared global parameters and
-// returns a typed *DecodeError instead of panicking or silently accepting
-// out-of-range values.
-
-// DecodeError reports a wire payload that failed to parse as the expected
-// message kind: truncated, syntactically malformed, or carrying a field
-// outside the range the shared parameters allow.
-type DecodeError struct {
-	Kind   string // "type", "chosenSet", or "color"
-	Reason string // what was wrong
-	Err    error  // underlying bitio error, if any
-}
-
-// Error describes the malformed message, including the underlying bitio
-// error when there is one.
-func (e *DecodeError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("oldc: bad %s message: %s: %v", e.Kind, e.Reason, e.Err)
-	}
-	return fmt.Sprintf("oldc: bad %s message: %s", e.Kind, e.Reason)
-}
-
-// Unwrap exposes the underlying bitio error for errors.Is/As chains.
-func (e *DecodeError) Unwrap() error { return e.Err }
+// typeDims are the global parameters a type message decodes against: the
+// initial color count m, the γ-class count h and the color space |C|.
+type typeDims struct{ m, h, space int }
 
 // maxWireDefect bounds the defect field a decoder accepts: no instance in
 // this repository has defects anywhere near 2^32, so anything larger is
@@ -127,167 +63,47 @@ func (e *DecodeError) Unwrap() error { return e.Err }
 // platform.
 const maxWireDefect = 1 << 32
 
-// decodeTypeMsg parses the wire form of a typeMsg given the shared global
-// parameters (m, h, |C|). The returned message is fully validated:
-// initColor ∈ [0, m), γ-class ∈ [1, h], a bounded defect, and a non-empty
-// strictly-ascending color list inside the space.
-func decodeTypeMsg(r *bitio.Reader, m, h, spaceSize int) (typeMsg, error) {
+// decodeTypeMsg parses the wire form of a typeMsg. The returned message is
+// fully validated: initColor ∈ [0, m), γ-class ∈ [1, h], a bounded defect,
+// and a list algkit.DecodeList accepts.
+func decodeTypeMsg(r *bitio.Reader, d typeDims) (typeMsg, error) {
 	fail := func(reason string) (typeMsg, error) {
-		return typeMsg{}, &DecodeError{Kind: "type", Reason: reason, Err: r.Err()}
+		return typeMsg{}, &algkit.DecodeError{Kind: "oldc type message", Reason: reason, Err: r.Err()}
 	}
-	out := typeMsg{
-		mWidth:     bitio.WidthFor(m),
-		hWidth:     bitio.WidthFor(h + 1),
-		spaceSize:  spaceSize,
-		colorWidth: bitio.WidthFor(spaceSize),
-	}
+	out := typeMsg{mWidth: bitio.WidthFor(d.m), hWidth: bitio.WidthFor(d.h + 1), spaceSize: d.space}
 	out.initColor = int(r.ReadUint(out.mWidth))
 	out.gclass = int(r.ReadUint(out.hWidth))
 	defect := r.ReadVarint()
 	if r.Err() != nil {
 		return fail("truncated header")
 	}
-	if out.initColor >= m {
+	if out.initColor >= d.m {
 		return fail("initial color outside [0, m)")
 	}
-	if out.gclass < 1 || out.gclass > h {
+	if out.gclass < 1 || out.gclass > d.h {
 		return fail("γ-class outside [1, h]")
 	}
 	if defect >= maxWireDefect {
 		return fail("absurd defect value")
 	}
 	out.defect = int(defect)
-	if r.ReadBit() == 0 {
-		out.list = r.ReadBitset(spaceSize)
-		if r.Err() != nil {
-			return fail("truncated bitset list")
-		}
-	} else {
-		n := int(r.ReadVarint())
-		if r.Err() != nil {
-			return fail("truncated list length")
-		}
-		// A strictly-ascending in-range list has at most |C| entries, and
-		// its encoding needs n·colorWidth more bits; checking both before
-		// the loop bounds work and allocation on hostile input.
-		if n > spaceSize || n*out.colorWidth > r.Remaining() {
-			return fail("list length exceeds the color space or the payload")
-		}
-		out.list = make([]int, 0, n)
-		for i := 0; i < n; i++ {
-			c := int(r.ReadUint(out.colorWidth))
-			if c >= spaceSize {
-				return fail("list color outside the space")
-			}
-			if i > 0 && c <= out.list[i-1] {
-				return fail("list not strictly ascending")
-			}
-			out.list = append(out.list, c)
-		}
-		if r.Err() != nil {
-			return fail("truncated list")
-		}
+	list, err := algkit.DecodeList(r, d.space)
+	if err != nil {
+		return typeMsg{}, err
 	}
-	if len(out.list) == 0 {
-		return fail("empty color list")
-	}
+	out.list = list
 	return out, nil
 }
 
-// decodeChosenSetMsg parses the wire form of a chosenSetMsg; the index
-// must address the k′-set candidate family.
-func decodeChosenSetMsg(r *bitio.Reader, kprime int) (chosenSetMsg, error) {
-	w := bitio.WidthFor(kprime)
-	idx := int(r.ReadUint(w))
-	if r.Err() != nil {
-		return chosenSetMsg{}, &DecodeError{Kind: "chosenSet", Reason: "truncated", Err: r.Err()}
-	}
-	if kprime > 0 && idx >= kprime {
-		return chosenSetMsg{}, &DecodeError{Kind: "chosenSet", Reason: "index outside the candidate family"}
-	}
-	return chosenSetMsg{index: idx, width: w}, nil
-}
-
-// decodeColorMsg parses the wire form of a colorMsg; the color must lie in
-// the space.
-func decodeColorMsg(r *bitio.Reader, spaceSize int) (colorMsg, error) {
-	w := bitio.WidthFor(spaceSize)
-	c := int(r.ReadUint(w))
-	if r.Err() != nil {
-		return colorMsg{}, &DecodeError{Kind: "color", Reason: "truncated", Err: r.Err()}
-	}
-	if spaceSize > 0 && c >= spaceSize {
-		return colorMsg{}, &DecodeError{Kind: "color", Reason: "color outside the space"}
-	}
-	return colorMsg{color: c, width: w}, nil
-}
-
-// faultReporter receives detected decode failures; *sim.Engine implements
-// it (ReportDecodeFault feeds the per-round fault ledger).
-type faultReporter interface{ ReportDecodeFault() }
-
-// report forwards a detected decode fault if a sink is installed.
-func report(sink faultReporter) {
-	if sink != nil {
-		sink.ReportDecodeFault()
-	}
-}
-
-// The as* helpers resolve an inbox payload to the message kind the round
-// schedule expects. A clean payload of the right kind passes through; a
-// corrupted payload (the fault model flipped one of its encoded bits) is
-// re-parsed by the hardened decoder, requiring exact consumption, and a
-// failure is reported to the fault ledger and skipped — the algorithm then
-// simply treats the wire as dropped, which the defective-coloring analysis
-// tolerates. Any other kind is a round-schedule violation and is skipped.
-
-func asTypeMsg(pay sim.Payload, m, h, spaceSize int, sink faultReporter) (typeMsg, bool) {
-	switch p := pay.(type) {
-	case typeMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeTypeMsg(r, m, h, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return typeMsg{}, false
-		}
-		return msg, true
-	default:
-		return typeMsg{}, false
-	}
-}
-
-func asChosenSetMsg(pay sim.Payload, kprime int, sink faultReporter) (chosenSetMsg, bool) {
-	switch p := pay.(type) {
-	case chosenSetMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeChosenSetMsg(r, kprime)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return chosenSetMsg{}, false
-		}
-		return msg, true
-	default:
-		return chosenSetMsg{}, false
-	}
-}
-
-func asColorMsg(pay sim.Payload, spaceSize int, sink faultReporter) (colorMsg, bool) {
-	switch p := pay.(type) {
-	case colorMsg:
-		return p, true
-	case sim.CorruptPayload:
-		r := p.Reader()
-		msg, err := decodeColorMsg(r, spaceSize)
-		if err != nil || r.Remaining() != 0 {
-			report(sink)
-			return colorMsg{}, false
-		}
-		return msg, true
-	default:
-		return colorMsg{}, false
+// typeMsgOf returns node v's type message announcing list.
+func (s *basicSpec) typeMsgOf(v int, list []int) typeMsg {
+	return typeMsg{
+		initColor: s.initColors[v],
+		gclass:    s.gclass[v],
+		defect:    s.defect[v],
+		list:      list,
+		mWidth:    bitio.WidthFor(s.m),
+		hWidth:    bitio.WidthFor(s.h + 1),
+		spaceSize: s.spaceSize,
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/algkit"
 	"repro/internal/bitio"
 	"repro/internal/sim"
 )
@@ -12,18 +13,17 @@ import (
 func TestTypeMsgRoundTrip(t *testing.T) {
 	m, h, space := 900, 6, 4096
 	msg := typeMsg{
-		initColor:  123,
-		gclass:     4,
-		defect:     17,
-		list:       []int{5, 99, 100, 2047, 4095},
-		mWidth:     bitio.WidthFor(m),
-		hWidth:     bitio.WidthFor(h + 1),
-		spaceSize:  space,
-		colorWidth: bitio.WidthFor(space),
+		initColor: 123,
+		gclass:    4,
+		defect:    17,
+		list:      []int{5, 99, 100, 2047, 4095},
+		mWidth:    bitio.WidthFor(m),
+		hWidth:    bitio.WidthFor(h + 1),
+		spaceSize: space,
 	}
 	w := bitio.NewWriter()
 	msg.EncodeBits(w)
-	got, err := decodeTypeMsg(bitio.NewReader(w.Bytes(), w.Len()), m, h, space)
+	got, err := decodeTypeMsg(bitio.NewReader(w.Bytes(), w.Len()), typeDims{m, h, space})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestTypeMsgBitsetBranch(t *testing.T) {
 	msg := typeMsg{
 		initColor: 7, gclass: 2, defect: 1, list: list,
 		mWidth: bitio.WidthFor(m), hWidth: bitio.WidthFor(h + 1),
-		spaceSize: space, colorWidth: bitio.WidthFor(space),
+		spaceSize: space,
 	}
 	w := bitio.NewWriter()
 	msg.EncodeBits(w)
@@ -56,7 +56,7 @@ func TestTypeMsgBitsetBranch(t *testing.T) {
 	if w.Len() > header+16+1+space {
 		t.Fatalf("bitset branch not taken: %d bits", w.Len())
 	}
-	got, err := decodeTypeMsg(bitio.NewReader(w.Bytes(), w.Len()), m, h, space)
+	got, err := decodeTypeMsg(bitio.NewReader(w.Bytes(), w.Len()), typeDims{m, h, space})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestTypeMsgRoundTripProperty(t *testing.T) {
 			initColor: int(init), gclass: int(gclass)%h + 1, defect: int(defect),
 			list:   list,
 			mWidth: bitio.WidthFor(m), hWidth: bitio.WidthFor(h + 1),
-			spaceSize: space, colorWidth: bitio.WidthFor(space),
+			spaceSize: space,
 		}
 		w := bitio.NewWriter()
 		msg.EncodeBits(w)
-		got, err := decodeTypeMsg(bitio.NewReader(w.Bytes(), w.Len()), m, h, space)
+		got, err := decodeTypeMsg(bitio.NewReader(w.Bytes(), w.Len()), typeDims{m, h, space})
 		return err == nil && got.initColor == msg.initColor && got.gclass == msg.gclass &&
 			got.defect == msg.defect && reflect.DeepEqual(got.list, msg.list)
 	}
@@ -96,30 +96,11 @@ func TestTypeMsgRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestChosenSetAndColorRoundTrip(t *testing.T) {
-	w := bitio.NewWriter()
-	chosenSetMsg{index: 13, width: bitio.WidthFor(16)}.EncodeBits(w)
-	colorMsg{color: 512, width: bitio.WidthFor(4096)}.EncodeBits(w)
-	r := bitio.NewReader(w.Bytes(), w.Len())
-	got, err := decodeChosenSetMsg(r, 16)
-	if err != nil || got.index != 13 {
-		t.Fatalf("index=%d err=%v", got.index, err)
-	}
-	gotC, err := decodeColorMsg(r, 4096)
-	if err != nil || gotC.color != 512 {
-		t.Fatalf("color=%d err=%v", gotC.color, err)
-	}
-	if r.Remaining() != 0 {
-		t.Fatal("leftover bits")
-	}
-}
-
 func encodeTypeMsg(t *testing.T, m, h, space int, msg typeMsg) ([]byte, int) {
 	t.Helper()
 	msg.mWidth = bitio.WidthFor(m)
 	msg.hWidth = bitio.WidthFor(h + 1)
 	msg.spaceSize = space
-	msg.colorWidth = bitio.WidthFor(space)
 	w := bitio.NewWriter()
 	msg.EncodeBits(w)
 	return w.Bytes(), w.Len()
@@ -129,7 +110,7 @@ func TestDecodeTypeMsgRejectsBadFields(t *testing.T) {
 	m, h, space := 100, 4, 64
 	valid := typeMsg{initColor: 42, gclass: 2, defect: 3, list: []int{1, 5, 9}}
 	buf, nbit := encodeTypeMsg(t, m, h, space, valid)
-	if _, err := decodeTypeMsg(bitio.NewReader(buf, nbit), m, h, space); err != nil {
+	if _, err := decodeTypeMsg(bitio.NewReader(buf, nbit), typeDims{m, h, space}); err != nil {
 		t.Fatalf("valid message rejected: %v", err)
 	}
 
@@ -140,37 +121,16 @@ func TestDecodeTypeMsgRejectsBadFields(t *testing.T) {
 		"gclass>h": {initColor: 1, gclass: 5, defect: 3, list: []int{1}},
 	} {
 		buf, nbit := encodeTypeMsg(t, m, h, space, bad)
-		if _, err := decodeTypeMsg(bitio.NewReader(buf, nbit), m, h, space); err == nil {
+		if _, err := decodeTypeMsg(bitio.NewReader(buf, nbit), typeDims{m, h, space}); err == nil {
 			t.Errorf("%s: decoded without error", name)
 		}
 	}
 
 	// Every truncation of a valid message must error, never panic.
 	for cut := 0; cut < nbit; cut++ {
-		if _, err := decodeTypeMsg(bitio.NewReader(buf, cut), m, h, space); err == nil {
+		if _, err := decodeTypeMsg(bitio.NewReader(buf, cut), typeDims{m, h, space}); err == nil {
 			t.Errorf("truncation at bit %d decoded without error", cut)
 		}
-	}
-}
-
-func TestDecodeChosenSetRejectsOutOfRange(t *testing.T) {
-	// width for kprime=10 is 4 bits; index 12 is encodable but invalid.
-	w := bitio.NewWriter()
-	w.WriteUint(12, bitio.WidthFor(10))
-	if _, err := decodeChosenSetMsg(bitio.NewReader(w.Bytes(), w.Len()), 10); err == nil {
-		t.Fatal("out-of-family index decoded without error")
-	}
-	if _, err := decodeChosenSetMsg(bitio.NewReader(nil, 0), 10); err == nil {
-		t.Fatal("truncated chosenSet decoded without error")
-	}
-}
-
-func TestDecodeColorRejectsOutOfRange(t *testing.T) {
-	// width for space=100 is 7 bits; color 101 is encodable but invalid.
-	w := bitio.NewWriter()
-	w.WriteUint(101, bitio.WidthFor(100))
-	if _, err := decodeColorMsg(bitio.NewReader(w.Bytes(), w.Len()), 100); err == nil {
-		t.Fatal("out-of-space color decoded without error")
 	}
 }
 
@@ -179,13 +139,17 @@ type countingSink struct{ n int }
 
 func (s *countingSink) ReportDecodeFault() { s.n++ }
 
+// TestAsHelpersTolerateCorruption drives algkit.Resolve over oldc's type
+// message: clean re-encodings decode, every truncation is rejected and
+// reported, a nil sink is safe, a wrong-kind payload is skipped uncounted,
+// and no single-bit flip panics.
 func TestAsHelpersTolerateCorruption(t *testing.T) {
 	m, h, space := 100, 4, 64
 	buf, nbit := encodeTypeMsg(t, m, h, space, typeMsg{initColor: 42, gclass: 2, defect: 3, list: []int{1, 5, 9}})
 
 	sink := &countingSink{}
 	// An uncorrupted re-encoding decodes cleanly.
-	if _, ok := asTypeMsg(sim.CorruptPayload{Bits: buf, NBit: nbit}, m, h, space, sink); !ok {
+	if _, ok := algkit.Resolve(sim.CorruptPayload{Bits: buf, NBit: nbit}, decodeTypeMsg, typeDims{m, h, space}, sink); !ok {
 		t.Fatal("clean payload failed to decode")
 	}
 	if sink.n != 0 {
@@ -193,7 +157,7 @@ func TestAsHelpersTolerateCorruption(t *testing.T) {
 	}
 	// Truncated payloads are rejected and reported, for every cut point.
 	for cut := 0; cut < nbit; cut++ {
-		if _, ok := asTypeMsg(sim.CorruptPayload{Bits: buf, NBit: cut}, m, h, space, sink); ok {
+		if _, ok := algkit.Resolve(sim.CorruptPayload{Bits: buf, NBit: cut}, decodeTypeMsg, typeDims{m, h, space}, sink); ok {
 			t.Fatalf("truncation at %d accepted", cut)
 		}
 	}
@@ -201,12 +165,12 @@ func TestAsHelpersTolerateCorruption(t *testing.T) {
 		t.Fatalf("reported %d faults for %d truncations", sink.n, nbit)
 	}
 	// A nil sink must not crash the rejection path.
-	if _, ok := asTypeMsg(sim.CorruptPayload{Bits: buf, NBit: 3}, m, h, space, nil); ok {
+	if _, ok := algkit.Resolve(sim.CorruptPayload{Bits: buf, NBit: 3}, decodeTypeMsg, typeDims{m, h, space}, nil); ok {
 		t.Fatal("truncated payload accepted with nil sink")
 	}
 	// Unexpected kinds are skipped without being counted as wire faults.
 	before := sink.n
-	if _, ok := asTypeMsg(colorMsg{color: 1, width: 7}, m, h, space, sink); ok {
+	if _, ok := algkit.Resolve(sim.Payload(algkit.ColorMsg{Color: 1, Width: 7}), decodeTypeMsg, typeDims{m, h, space}, sink); ok {
 		t.Fatal("wrong-kind payload accepted")
 	}
 	if sink.n != before {
@@ -220,28 +184,6 @@ func TestAsHelpersTolerateCorruption(t *testing.T) {
 		dam := make([]byte, len(buf))
 		copy(dam, buf)
 		dam[bit/8] ^= 1 << (7 - uint(bit%8))
-		asTypeMsg(sim.CorruptPayload{Bits: dam, NBit: nbit}, m, h, space, sink)
-	}
-}
-
-func TestAsChosenSetAndColorCorruption(t *testing.T) {
-	sink := &countingSink{}
-	w := bitio.NewWriter()
-	chosenSetMsg{index: 7, width: bitio.WidthFor(10)}.EncodeBits(w)
-	if msg, ok := asChosenSetMsg(sim.CorruptPayload{Bits: w.Bytes(), NBit: w.Len()}, 10, sink); !ok || msg.index != 7 {
-		t.Fatalf("clean chosenSet decode: ok=%v msg=%+v", ok, msg)
-	}
-	// Extra trailing bit violates exact consumption.
-	if _, ok := asChosenSetMsg(sim.CorruptPayload{Bits: w.Bytes(), NBit: w.Len() + 1}, 10, sink); ok {
-		t.Fatal("overlong chosenSet accepted")
-	}
-
-	w2 := bitio.NewWriter()
-	colorMsg{color: 33, width: bitio.WidthFor(100)}.EncodeBits(w2)
-	if msg, ok := asColorMsg(sim.CorruptPayload{Bits: w2.Bytes(), NBit: w2.Len()}, 100, sink); !ok || msg.color != 33 {
-		t.Fatalf("clean color decode: ok=%v msg=%+v", ok, msg)
-	}
-	if _, ok := asColorMsg(sim.CorruptPayload{Bits: w2.Bytes(), NBit: 3}, 100, sink); ok {
-		t.Fatal("truncated color accepted")
+		algkit.Resolve(sim.CorruptPayload{Bits: dam, NBit: nbit}, decodeTypeMsg, typeDims{m, h, space}, sink)
 	}
 }
