@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -139,7 +140,7 @@ func TestDefaultBucketsValidity(t *testing.T) {
 		if n*d%2 != 0 {
 			n++
 		}
-		g := graph.RandomRegular(n, d, seed)
+		g := randomRegular(t, n, d, seed)
 		o := graph.OrientByID(g)
 		in := prepareInput(o, 1<<12, 6.0, 4, seed+9)
 		phi, _, err := Solve(sim.NewEngine(g), in, Options{})
@@ -164,6 +165,33 @@ func TestDefaultBucketsValidity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomRegular returns graph.RandomRegular(n, d, seed) or, on a seed whose
+// edge-swap repair gives up (it does on some small dense inputs such as
+// (10, 7); graph pins that panic), the graph of the next seed it finishes.
+func randomRegular(t *testing.T, n, d int, seed int64) *graph.Graph {
+	t.Helper()
+	for try := int64(0); try < 8; try++ {
+		if g := tryRandomRegular(n, d, seed+try); g != nil {
+			return g
+		}
+	}
+	t.Fatalf("RandomRegular(%d,%d) gave up on 8 seeds from %d", n, d, seed)
+	return nil
+}
+
+// tryRandomRegular returns nil where graph.RandomRegular panics because
+// its repair did not converge, and re-panics on any other panic.
+func tryRandomRegular(n, d int, seed int64) (g *graph.Graph) {
+	defer func() {
+		if r := recover(); r != nil {
+			if msg, ok := r.(string); !ok || !strings.HasSuffix(msg, "failed to converge") {
+				panic(r)
+			}
+		}
+	}()
+	return graph.RandomRegular(n, d, seed)
 }
 
 // TestAdversarialClique runs the sequential schedule on a clique — every
